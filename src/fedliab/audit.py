@@ -47,6 +47,10 @@ class DistanceTensor:
         v = np.ascontiguousarray(self.values, dtype=np.float64)
         if v.ndim != 3:
             raise ValueError(f"expected (epochs, nodes, layers), got shape {v.shape}")
+        bad = np.argwhere(~np.isfinite(v))
+        if bad.size:
+            e, n, l = (int(i) for i in bad[0])
+            raise ValueError(f"distance at (epoch {e}, node {n}, layer {l}) is {v[e, n, l]}, not finite")
         if v.size and (v.min() < 0 or v.max() > 2):
             raise ValueError("cosine distances must lie in [0, 2]")
         v.flags.writeable = False

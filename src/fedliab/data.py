@@ -192,6 +192,46 @@ def class_template(cls: int, class_count: int, size: int = 28) -> np.ndarray:
     return np.clip(bar + blob, 0.0, 1.0)
 
 
+def _class_glyphs(cls, class_count, per_class, seed, image_size, noise_sigma, max_shift, out) -> None:
+    """Write one class's unquantized glyphs into `out` (per_class, H, W).
+
+    Each class draws from its own stream, so a class can be generated alone.
+    The gather `template[(y - sy) % H, (x - sx) % W]` is `np.roll` by
+    (sy, sx) for every sample at once.
+    """
+    rng = stream(seed, "synth", cls)
+    template = class_template(cls, class_count, image_size)
+    shifts = rng.integers(-max_shift, max_shift + 1, size=(per_class, 2))
+    noise = rng.normal(0.0, noise_sigma, size=(per_class, image_size, image_size))
+    grid = np.arange(image_size)
+    rows = (grid[None, :, None] - shifts[:, 0, None, None]) % image_size
+    cols = (grid[None, None, :] - shifts[:, 1, None, None]) % image_size
+    np.add(template[rows, cols], noise, out=out)
+
+
+def _quantize(images: np.ndarray) -> np.ndarray:
+    """Clip to [0, 1] and snap to the uint8 grid, so IDX round-trips are exact."""
+    return np.round(np.clip(images, 0.0, 1.0) * 255) / 255
+
+
+def synth_class_images(
+    cls: int,
+    class_count: int,
+    per_class: int,
+    seed: int,
+    image_size: int = 28,
+    noise_sigma: float = 0.1,
+    max_shift: int = 2,
+) -> np.ndarray:
+    """Class `cls`'s rows of `synth_generate` with the same arguments, bit for
+    bit, without generating the other classes."""
+    if not 0 <= cls < class_count:
+        raise ValueError(f"class {cls} outside 0..{class_count - 1}")
+    images = np.empty((per_class, image_size, image_size))
+    _class_glyphs(cls, class_count, per_class, seed, image_size, noise_sigma, max_shift, images)
+    return _quantize(images)
+
+
 def synth_generate(
     class_count: int,
     per_class: int,
@@ -208,19 +248,12 @@ def synth_generate(
     """
     if class_count < 2:
         raise ValueError("need at least 2 classes")
-    n = class_count * per_class
-    images = np.empty((n, image_size, image_size))
+    images = np.empty((class_count * per_class, image_size, image_size))
     labels = np.repeat(np.arange(class_count), per_class)
     for cls in range(class_count):
-        rng = stream(seed, "synth", cls)
-        template = class_template(cls, class_count, image_size)
-        shifts = rng.integers(-max_shift, max_shift + 1, size=(per_class, 2))
-        noise = rng.normal(0.0, noise_sigma, size=(per_class, image_size, image_size))
-        for i in range(per_class):
-            img = np.roll(template, tuple(shifts[i]), axis=(0, 1)) + noise[i]
-            images[cls * per_class + i] = img
-    images = np.round(np.clip(images, 0.0, 1.0) * 255) / 255
-    return Dataset(images, labels, class_count)
+        rows = images[cls * per_class : (cls + 1) * per_class]
+        _class_glyphs(cls, class_count, per_class, seed, image_size, noise_sigma, max_shift, rows)
+    return Dataset(_quantize(images), labels, class_count)
 
 
 # ---------------------------------------------------------------------------

@@ -228,7 +228,7 @@ class EvalResult:
     per_class: np.ndarray
 
 
-def evaluate(net: Network, params: LayeredParams, ds: Dataset, batch_size: int = 512) -> EvalResult:
+def evaluate(net: Network, params: LayeredParams, ds: Dataset, batch_size: int = 100) -> EvalResult:
     if len(ds) == 0:
         raise ValueError("empty evaluation dataset")
     inputs = model_inputs(net, ds.images)

@@ -36,6 +36,7 @@ from .data import (
     draw_preferred_classes,
     load_idx,
     partition_non_iid,
+    synth_class_images,
     synth_generate,
 )
 from .flsim import (
@@ -261,6 +262,24 @@ def load_experiment_data(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
     return train, test
 
 
+def load_test_sample(cfg: ExperimentConfig, sample_id: int) -> tuple[np.ndarray, int]:
+    """(image, label) of one test sample, reading only what it needs: for the
+    synthetic corpus, the sample's own class; for IDX data, the test pair."""
+    if cfg.dataset == "synthetic":
+        size = cfg.classes * cfg.test_per_class
+        if not 0 <= sample_id < size:
+            raise RuntimeError(f"sample id {sample_id} outside test set of {size}")
+        cls, row = divmod(sample_id, cfg.test_per_class)
+        images = synth_class_images(
+            cls, cfg.classes, cfg.test_per_class, derive_seed(cfg.seed, "synth-test"), cfg.image_size
+        )
+        return images[row], cls
+    test = load_idx(cfg.idx_test_images, cfg.idx_test_labels, class_count=cfg.classes)
+    if not 0 <= sample_id < len(test):
+        raise RuntimeError(f"sample id {sample_id} outside test set of {len(test)}")
+    return test.images[sample_id], int(test.labels[sample_id])
+
+
 def preferred_classes(cfg: ExperimentConfig) -> tuple[int, ...]:
     """Per-node preferred classes; optionally forces the attacker's preferred
     class to coincide with the corrupted class."""
@@ -382,7 +401,11 @@ def run_phase(
     datasets: list[Dataset],
     node_ids: tuple[int, ...],
     test: Dataset,
+    reputation: bool = True,
 ) -> PhaseResult:
+    """Train one federation, then evaluate and audit it. The reputation
+    baseline costs one evaluation per node per round, so a phase whose
+    scores are not exported skips it (`reputation=False`)."""
     net, init_params = build_model(cfg)
     nodes = make_nodes(datasets)
     train_cfg = TrainConfig(
@@ -400,9 +423,12 @@ def run_phase(
         against=cfg.distance_reference,
         init_params=init_params if cfg.distance_reference == "previous_global" else None,
     )
-    reputation = ReputationTracker(net, datasets, cfg.rounds)
+    observers = [recorder]
+    if reputation:
+        tracker = ReputationTracker(net, datasets, cfg.rounds)
+        observers.append(tracker)
     start = time.perf_counter()
-    result = run_training(net, init_params, nodes, train_cfg, observers=[recorder, reputation])
+    result = run_training(net, init_params, nodes, train_cfg, observers=observers)
     elapsed = time.perf_counter() - start
 
     tensor = recorder.tensor()
@@ -411,11 +437,9 @@ def run_phase(
         net, result.final_params, test, tensor, cfg.attack_source, LrpConfig(epsilon=cfg.lrp_epsilon)
     )
     report = detect(selection.matrix, AuditConfig(cfg.alpha), sample_id=selection.sample_id)
-    scores = {
-        "radist": selection.matrix,
-        "cosine": baseline_cosine_score(tensor),
-        "reputation": reputation.score(),
-    }
+    scores = {"radist": selection.matrix, "cosine": baseline_cosine_score(tensor)}
+    if reputation:
+        scores["reputation"] = tracker.score()
     return PhaseResult(
         name=name,
         node_ids=node_ids,
@@ -452,7 +476,7 @@ def run_scenario(cfg: ExperimentConfig) -> ScenarioResult:
                 raise RuntimeError("audit flagged every node; nothing left to retrain")
             surviving_data = [datasets[i] for i in survivors]
             phases["audited_retrain"] = run_phase(
-                cfg, "audited_retrain", surviving_data, survivors, test
+                cfg, "audited_retrain", surviving_data, survivors, test, reputation=False
             )
     return ScenarioResult(cfg.scenario, cfg, phases)
 
@@ -519,8 +543,8 @@ def export_metrics(result: ScenarioResult, out_dir) -> list[str]:
     save_params(audit_phase.final_params, out / "model.bin")
 
     net, _ = build_model(result.config)
-    _, test = load_experiment_data(result.config)
-    sample = model_inputs(net, test.images)[audit_phase.selection.sample_id]
+    image, _ = load_test_sample(result.config, audit_phase.selection.sample_id)
+    sample = model_inputs(net, image[None])[0]
     rmap = lrp_propagate(
         net,
         audit_phase.final_params,
@@ -570,10 +594,8 @@ def audit_run_dir(run_dir, sample_id: int) -> dict:
     net, _ = build_model(cfg)
     params = load_params(run / "model.bin")
     tensor = auditmod.load_distance_tensor(run / "distances.bin")
-    _, test = load_experiment_data(cfg)
-    if not 0 <= sample_id < len(test):
-        raise RuntimeError(f"sample id {sample_id} outside test set of {len(test)}")
-    sample = model_inputs(net, test.images)[sample_id]
+    image, label = load_test_sample(cfg, sample_id)
+    sample = model_inputs(net, image[None])[0]
     target = predict(net, params, sample)
     rmap = lrp_propagate(net, params, sample, target, LrpConfig(epsilon=cfg.lrp_epsilon))
     weights = reduce_to_layer_vector(rmap, net)
@@ -581,7 +603,7 @@ def audit_run_dir(run_dir, sample_id: int) -> dict:
     report = detect(matrix, AuditConfig(cfg.alpha), sample_id=sample_id)
     blob = auditmod.audit_report_dict(report)
     blob["target_class"] = target
-    blob["true_class"] = int(test.labels[sample_id])
+    blob["true_class"] = label
     blob["layer_weights"] = [float(v) for v in weights]
     return blob
 

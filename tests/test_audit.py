@@ -282,6 +282,27 @@ class TestRangeInvariant:
         t = DistanceTensor(values)
         assert t.values.min() >= 0 and t.values.max() <= 2
 
+    def test_all_nan_rejected(self):
+        with pytest.raises(ValueError, match=r"epoch 0, node 0, layer 0"):
+            DistanceTensor(np.full((2, 3, 4), np.nan))
+
+    def test_one_nan_rejected_before_it_hides_the_outlier(self):
+        # NaN fails both sides of the [0, 2] check, so a NaN entry would
+        # otherwise reach detect and turn the flagged set from (0,) into ()
+        values = np.full((2, 3, 4), 0.1)
+        values[:, 0, :] = 1.5
+        matrix = compute_radist(DistanceTensor(values.copy()), np.full(4, 0.25))
+        assert detect(matrix, AuditConfig(alpha=2.0)).flagged == (0,)
+        values[1, 2, 3] = np.nan
+        with pytest.raises(ValueError, match=r"epoch 1, node 2, layer 3"):
+            DistanceTensor(values)
+
+    def test_infinity_rejected(self):
+        values = np.zeros((1, 2, 2))
+        values[0, 1, 0] = np.inf
+        with pytest.raises(ValueError, match=r"epoch 0, node 1, layer 0"):
+            DistanceTensor(values)
+
 
 class TestSerialization:
     def test_storage_accounting_exact(self):

@@ -21,9 +21,11 @@ from fedliab.data import (
     partition_indices,
     partition_manifest,
     partition_non_iid,
+    synth_class_images,
     synth_generate,
     write_idx,
 )
+from fedliab.seeding import stream
 
 
 def make_idx_pair(tmp_path, pixels, labels, image_magic=IMAGES_MAGIC, label_magic=LABELS_MAGIC,
@@ -120,6 +122,41 @@ class TestSynth:
         ds = synth_generate(3, 4, seed=1, image_size=8)
         assert ds.images.min() >= 0 and ds.images.max() <= 1
         np.testing.assert_array_equal(ds.images, np.round(ds.images * 255) / 255)
+
+
+def rolled_reference(class_count, per_class, seed, image_size, noise_sigma=0.1, max_shift=2):
+    """The generator as a per-sample np.roll loop, kept as the bitwise reference."""
+    n = class_count * per_class
+    images = np.empty((n, image_size, image_size))
+    for cls in range(class_count):
+        rng = stream(seed, "synth", cls)
+        template = class_template(cls, class_count, image_size)
+        shifts = rng.integers(-max_shift, max_shift + 1, size=(per_class, 2))
+        noise = rng.normal(0.0, noise_sigma, size=(per_class, image_size, image_size))
+        for i in range(per_class):
+            img = np.roll(template, tuple(shifts[i]), axis=(0, 1)) + noise[i]
+            images[cls * per_class + i] = img
+    return np.round(np.clip(images, 0.0, 1.0) * 255) / 255
+
+
+class TestSynthBits:
+    @pytest.mark.parametrize("image_size", [8, 20, 28])
+    def test_matches_roll_loop_bitwise(self, image_size):
+        want = rolled_reference(10, 12, 77, image_size)
+        got = synth_generate(10, 12, seed=77, image_size=image_size).images
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("image_size", [8, 20, 28])
+    def test_class_rows_match_per_class_entry(self, image_size):
+        ds = synth_generate(10, 12, seed=77, image_size=image_size)
+        for cls in range(10):
+            rows = ds.images[cls * 12 : (cls + 1) * 12]
+            alone = synth_class_images(cls, 10, 12, seed=77, image_size=image_size)
+            assert alone.tobytes() == rows.tobytes(), cls
+
+    def test_class_out_of_range(self):
+        with pytest.raises(ValueError, match="class 4"):
+            synth_class_images(4, 4, 3, seed=0, image_size=8)
 
 
 class TestSanityBar:

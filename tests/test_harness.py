@@ -3,14 +3,17 @@ import json
 import numpy as np
 import pytest
 
+from fedliab import data
 from fedliab.harness import (
     ConfigError,
     ExperimentConfig,
     audit_run_dir,
     config_from_mapping,
     config_to_mapping,
+    derive_seed,
     load_config,
     load_experiment_data,
+    load_test_sample,
     measure_overhead,
     node_datasets,
     overhead_report_dict,
@@ -205,6 +208,58 @@ class TestExport:
         out, _ = exported
         with pytest.raises(RuntimeError, match="sample id"):
             audit_run_dir(out, 10**6)
+
+
+class TestLoadTestSample:
+    def test_synthetic_matches_full_test_set(self):
+        cfg = tiny_config()
+        _, test = load_experiment_data(cfg)
+        for sample_id in (0, 24, 25, 77, len(test) - 1):
+            image, label = load_test_sample(cfg, sample_id)
+            assert image.tobytes() == test.images[sample_id].tobytes()
+            assert label == test.labels[sample_id]
+
+    @pytest.mark.parametrize("sample_id", [-1, 6 * 25])
+    def test_synthetic_bounds(self, sample_id):
+        with pytest.raises(RuntimeError, match="sample id"):
+            load_test_sample(tiny_config(), sample_id)
+
+    def test_idx_reads_only_the_test_pair(self, tmp_path):
+        ds = data.synth_generate(3, 4, seed=5, image_size=8)
+        data.write_idx(ds, tmp_path / "test-images", tmp_path / "test-labels")
+        cfg = ExperimentConfig(
+            dataset="idx",
+            classes=3,
+            image_size=8,
+            idx_train_images=str(tmp_path / "absent-train-images"),
+            idx_train_labels=str(tmp_path / "absent-train-labels"),
+            idx_test_images=str(tmp_path / "test-images"),
+            idx_test_labels=str(tmp_path / "test-labels"),
+            attack_source=0,
+            attack_target=1,
+        )
+        for sample_id in (0, 5, 11):
+            image, label = load_test_sample(cfg, sample_id)
+            np.testing.assert_array_equal(image, ds.images[sample_id])
+            assert label == ds.labels[sample_id]
+        with pytest.raises(RuntimeError, match="sample id"):
+            load_test_sample(cfg, 12)
+
+    def test_audit_generates_one_test_class(self, exported, monkeypatch):
+        out, result = exported
+        cfg = result.config
+        generated = []
+        glyphs = data._class_glyphs
+
+        def counting(cls, class_count, per_class, seed, *args):
+            generated.append((seed, per_class))
+            return glyphs(cls, class_count, per_class, seed, *args)
+
+        monkeypatch.setattr(data, "_class_glyphs", counting)
+        blob = audit_run_dir(out, result.audit_phase.audit.sample_id)
+        assert blob["flagged"] == list(result.audit_phase.audit.flagged)
+        assert sum(n for _, n in generated) <= cfg.test_per_class
+        assert derive_seed(cfg.seed, "synth-train") not in {seed for seed, _ in generated}
 
 
 class TestOverhead:

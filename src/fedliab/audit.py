@@ -21,6 +21,8 @@ from .data import Dataset
 from .flsim import RoundRecord, evaluate
 from .nn import LayeredParams, Network, flatten_layer_params
 
+DISTANCE_REFERENCES = ("same_round_global", "previous_global")
+
 
 def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
     """1 - cos(a, b) in [0, 2]; zero vectors: both -> 0, exactly one -> 1."""
@@ -44,7 +46,7 @@ class DistanceTensor:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.ascontiguousarray(self.values, dtype=np.float64)
+        v = np.array(self.values, dtype=np.float64, order="C")  # copies: the caller's stays writable
         if v.ndim != 3:
             raise ValueError(f"expected (epochs, nodes, layers), got shape {v.shape}")
         bad = np.argwhere(~np.isfinite(v))
@@ -87,14 +89,14 @@ class DistanceRecorder:
     def __init__(self, rounds: int, nodes: int, layers: int,
                  against: str = "same_round_global",
                  init_params: LayeredParams | None = None):
-        if against not in ("same_round_global", "previous_global"):
-            raise ValueError(f"unknown reference {against!r}")
+        if against not in DISTANCE_REFERENCES:
+            raise ValueError(f"distance reference must be one of {DISTANCE_REFERENCES}, got {against!r}")
         if against == "previous_global" and init_params is None:
             raise ValueError("previous_global mode needs init_params")
         self._values = np.zeros((rounds, nodes, layers))
         self._against = against
         self._previous = init_params
-        self._seen = 0
+        self._recorded = np.zeros(rounds, dtype=bool)
 
     def on_round(self, record: RoundRecord) -> None:
         if self._against == "same_round_global":
@@ -103,10 +105,14 @@ class DistanceRecorder:
             reference = RoundRecord(record.epoch, record.local_params, self._previous)
             log_round(reference, self._values)
             self._previous = record.global_params
-        self._seen += 1
+        self._recorded[record.epoch] = True
 
     def tensor(self) -> DistanceTensor:
-        return DistanceTensor(self._values.copy())
+        """The full log; raises if any epoch was never recorded."""
+        missing = np.flatnonzero(~self._recorded)
+        if missing.size:
+            raise ValueError(f"epoch {missing[0]} was never recorded")
+        return DistanceTensor(self._values)
 
 
 def compute_radist(tensor: DistanceTensor, layer_weights: np.ndarray) -> np.ndarray:
@@ -117,22 +123,13 @@ def compute_radist(tensor: DistanceTensor, layer_weights: np.ndarray) -> np.ndar
     return tensor.values @ r
 
 
-def mean_layer_weights(vectors) -> np.ndarray:
-    """Uniform average of several decisions' layer-weight vectors, for
-    auditing a set of decisions with one contraction."""
-    stacked = np.asarray(list(vectors), dtype=np.float64)
-    if stacked.ndim != 2 or stacked.shape[0] == 0:
-        raise ValueError("need at least one layer-weight vector")
-    return stacked.mean(axis=0)
-
-
 @dataclass(frozen=True)
 class AuditConfig:
     alpha: float = 2.0
 
     def __post_init__(self):
-        if self.alpha <= 1:
-            raise ValueError("alpha must exceed 1")
+        if not self.alpha > 1:  # NaN fails too
+            raise ValueError(f"alpha must exceed 1, got {self.alpha}")
 
 
 @dataclass(frozen=True)
@@ -185,25 +182,9 @@ class ReputationTracker:
         for n, local in enumerate(record.local_params):
             self._acc[record.epoch, n] = evaluate(self._net, local, self._datasets[n]).overall
 
-    def accuracies(self) -> np.ndarray:
-        return self._acc.copy()
-
-    def reputation(self) -> np.ndarray:
-        return reputation_from_accuracies(self._acc)
-
     def score(self) -> np.ndarray:
         """1 - reputation, so "higher = more suspicious" like the others."""
-        return 1.0 - self.reputation()
-
-
-def baseline_reputation(records, node_datasets: list[Dataset], net: Network) -> np.ndarray:
-    """Reputation trace from full round records (observer-free variant)."""
-    records = list(records)
-    acc = np.zeros((len(records), len(node_datasets)))
-    for record in records:
-        for n, local in enumerate(record.local_params):
-            acc[record.epoch, n] = evaluate(net, local, node_datasets[n]).overall
-    return reputation_from_accuracies(acc)
+        return 1.0 - reputation_from_accuracies(self._acc)
 
 
 def normalize_scores(trace: np.ndarray) -> np.ndarray:
@@ -220,26 +201,39 @@ def normalize_scores(trace: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def write_distance_csv(tensor: DistanceTensor, path) -> None:
-    e_dim, n_dim, l_dim = tensor.dims
-    with open(path, "w", newline="\n") as fh:
-        fh.write("epoch,node,layer,distance\n")
-        for e in range(e_dim):
-            for n in range(n_dim):
-                for l in range(l_dim):
-                    fh.write(f"{e},{n},{l},{float(tensor.values[e, n, l])!r}\n")
+_LAYOUT = {"dtype": "<f8", "order": "epoch,node,layer"}
+
+
+def _distance_header(dims) -> bytes:
+    return json.dumps({"dims": list(dims), **_LAYOUT}, sort_keys=True).encode() + b"\n"
+
+
+def distance_bytes_per_epoch_node(dims) -> float:
+    """distances.bin size per (epoch, node) for an (E, N, L) log: one float64
+    per layer plus an even share of the header."""
+    epochs, nodes, layers = dims
+    return layers * 8 + len(_distance_header(dims)) / (epochs * nodes)
 
 
 def distance_tensor_to_bytes(tensor: DistanceTensor) -> bytes:
-    header = {"dims": list(tensor.dims), "dtype": "<f8", "order": "epoch,node,layer"}
-    return json.dumps(header, sort_keys=True).encode() + b"\n" + tensor.values.astype("<f8").tobytes()
+    return _distance_header(tensor.dims) + tensor.values.astype("<f8").tobytes()
 
 
 def distance_tensor_from_bytes(raw: bytes) -> DistanceTensor:
-    head, _, payload = raw.partition(b"\n")
-    dims = tuple(json.loads(head.decode())["dims"])
-    values = np.frombuffer(payload, dtype="<f8", count=int(np.prod(dims))).reshape(dims)
-    return DistanceTensor(values.astype(np.float64))
+    """Inverse of distance_tensor_to_bytes; raises ValueError for a foreign
+    header or a payload that is not exactly the size the header declares."""
+    head, newline, payload = raw.partition(b"\n")
+    try:
+        header = json.loads(head)
+        if {k: header[k] for k in _LAYOUT} != _LAYOUT:
+            raise ValueError(f"layout {header['dtype']!r}, {header['order']!r}")
+        dims = tuple(int(d) for d in header["dims"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"not a distance-log header: {exc}") from None
+    count = int(np.prod(dims))
+    if not newline or len(payload) != 8 * count:
+        raise ValueError(f"distance payload is {len(payload)} bytes, header declares {8 * count}")
+    return DistanceTensor(np.frombuffer(payload, dtype="<f8").reshape(dims))
 
 
 def save_distance_tensor(tensor: DistanceTensor, path) -> None:
@@ -260,12 +254,6 @@ def audit_report_dict(report: AuditReport) -> dict:
         "flagged": list(report.flagged),
         "sample_id": report.sample_id,
     }
-
-
-def write_audit_json(report: AuditReport, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        json.dump(audit_report_dict(report), fh, sort_keys=True, indent=2)
-        fh.write("\n")
 
 
 def write_scores_csv(traces: dict[str, np.ndarray], path) -> None:

@@ -9,7 +9,6 @@ by a configurable frequency factor, drawing samples disjointly across nodes.
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass
 
@@ -58,6 +57,9 @@ class Dataset:
             raise ValueError(f"labels outside [0, {self.class_count})")
         if images.size and (images.min() < 0 or images.max() > 1):
             raise ValueError("pixel values outside [0, 1]")
+        # freeze views of writable inputs: no copy, and the caller's arrays stay writable
+        images = images.view() if images.flags.writeable else images
+        labels = labels.view() if labels.flags.writeable else labels
         images.flags.writeable = False
         labels.flags.writeable = False
         object.__setattr__(self, "images", images)
@@ -328,22 +330,6 @@ def partition_indices(ds: Dataset, plan: PartitionPlan) -> list[np.ndarray]:
 def partition_non_iid(ds: Dataset, plan: PartitionPlan) -> list[Dataset]:
     """Split the dataset into node-local datasets per the plan."""
     return [ds.subset(idx) for idx in partition_indices(ds, plan)]
-
-
-def partition_manifest(ds: Dataset, plan: PartitionPlan) -> dict:
-    """JSON-ready record of which sample indices each node received."""
-    return {
-        "node_count": plan.node_count,
-        "per_node_size": plan.per_node_size,
-        "bias_factor": plan.bias_factor,
-        "seed": plan.seed,
-        "nodes": {str(i): idx.tolist() for i, idx in enumerate(partition_indices(ds, plan))},
-    }
-
-
-def save_partition_manifest(ds: Dataset, plan: PartitionPlan, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        json.dump(partition_manifest(ds, plan), fh, sort_keys=True)
 
 
 def corrupt(ds: Dataset, spec: CorruptionSpec) -> Dataset:

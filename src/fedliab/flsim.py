@@ -9,8 +9,6 @@ whether or not any observer is attached.
 
 from __future__ import annotations
 
-import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
@@ -23,13 +21,12 @@ from .nn import (
     forward_batch,
     loss_and_grad,
     make_params,
-    params_from_bytes,
-    params_to_bytes,
     sgd_step,
 )
 from .seeding import stream
 
 AGGREGATIONS = ("uniform", "dataset_size_weighted")
+EVAL_BATCH = 100
 
 
 @dataclass(frozen=True)
@@ -59,12 +56,13 @@ class TrainConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        if self.rounds < 1 or self.local_passes < 1 or self.batch_size < 1:
-            raise ValueError("rounds, local_passes and batch_size must be >= 1")
-        if self.lr < 0:
-            raise ValueError("learning rate must be non-negative")
+        for key in ("rounds", "local_passes", "batch_size"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if not self.lr >= 0:  # NaN fails too
+            raise ValueError(f"lr must be non-negative, got {self.lr}")
         if self.aggregation not in AGGREGATIONS:
-            raise ValueError(f"aggregation must be one of {AGGREGATIONS}")
+            raise ValueError(f"aggregation must be one of {AGGREGATIONS}, got {self.aggregation!r}")
 
 
 @dataclass(frozen=True)
@@ -77,15 +75,8 @@ class RoundRecord:
 
 
 @dataclass(frozen=True)
-class RoundSummary:
-    epoch: int
-    messages: int
-
-
-@dataclass(frozen=True)
 class TrainResult:
     final_params: LayeredParams
-    history: tuple[RoundSummary, ...]
     message_count: int
 
 
@@ -154,13 +145,8 @@ def run_training(
     nodes: Sequence[NodeState],
     cfg: TrainConfig,
     observers: Sequence[RoundObserver] = (),
-    parallel: bool = False,
 ) -> TrainResult:
-    """E rounds of local training, aggregation, and broadcast.
-
-    Per-node RNG streams are independent, so sequential and parallel
-    execution of one round produce bit-identical aggregates.
-    """
+    """E rounds of local training, aggregation, and broadcast."""
     if not nodes:
         raise ValueError("need at least one node")
     if [n.node_id for n in nodes] != list(range(len(nodes))):
@@ -172,52 +158,15 @@ def run_training(
 
     global_params = init_params
     messages = 0
-    history = []
     for epoch in range(cfg.rounds):
-        if parallel:
-            with ThreadPoolExecutor(max_workers=len(nodes)) as pool:
-                locals_ = list(
-                    pool.map(lambda n: local_train(net, n, global_params, cfg, epoch), nodes)
-                )
-        else:
-            locals_ = [local_train(net, n, global_params, cfg, epoch) for n in nodes]
+        locals_ = [local_train(net, n, global_params, cfg, epoch) for n in nodes]
         messages += len(nodes)  # uploads
         global_params = aggregate(locals_, weights)
         messages += len(nodes)  # broadcast of the new global
         record = RoundRecord(epoch, tuple(locals_), global_params)
         for obs in observers:
             obs.on_round(record)
-        history.append(RoundSummary(epoch, 2 * len(nodes)))
-    return TrainResult(global_params, tuple(history), messages)
-
-
-def save_round_record(record: RoundRecord, path) -> None:
-    """Checkpoint one round: JSON header, then the global and each node's
-    parameter block in serialization order."""
-    blocks = [params_to_bytes(record.global_params)]
-    blocks.extend(params_to_bytes(p) for p in record.local_params)
-    header = {
-        "epoch": record.epoch,
-        "nodes": len(record.local_params),
-        "block_bytes": [len(b) for b in blocks],
-    }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        for block in blocks:
-            fh.write(block)
-
-
-def load_round_record(path) -> RoundRecord:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    head, _, payload = raw.partition(b"\n")
-    header = json.loads(head.decode())
-    params = []
-    offset = 0
-    for size in header["block_bytes"]:
-        params.append(params_from_bytes(payload[offset : offset + size]))
-        offset += size
-    return RoundRecord(header["epoch"], tuple(params[1:]), params[0])
+    return TrainResult(global_params, messages)
 
 
 @dataclass(frozen=True)
@@ -228,14 +177,14 @@ class EvalResult:
     per_class: np.ndarray
 
 
-def evaluate(net: Network, params: LayeredParams, ds: Dataset, batch_size: int = 100) -> EvalResult:
+def evaluate(net: Network, params: LayeredParams, ds: Dataset) -> EvalResult:
     if len(ds) == 0:
         raise ValueError("empty evaluation dataset")
     inputs = model_inputs(net, ds.images)
     correct = np.zeros(ds.class_count)
     seen = np.zeros(ds.class_count)
-    for start in range(0, len(ds), batch_size):
-        stop = start + batch_size
+    for start in range(0, len(ds), EVAL_BATCH):
+        stop = start + EVAL_BATCH
         logits = forward_batch(net, params, inputs[start:stop])[-1]
         preds = np.argmax(logits, axis=1)
         labels = ds.labels[start:stop]

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import audit as auditmod
 from .audit import (
+    DISTANCE_REFERENCES,
     AuditConfig,
     DistanceRecorder,
     DistanceTensor,
@@ -63,22 +64,17 @@ from .nn import (
     forward_batch,
     load_params,
     params_to_bytes,
-    predict,
     reference_network,
     save_params,
 )
-from .seeding import _encode, _mix64
+from .seeding import derive_seed
 
 SCENARIOS = ("all_correct", "with_misbehaving", "audited_retrain")
+INFERENCE_BATCH = 50  # samples per timed batch in measure_overhead
 
 
 class ConfigError(ValueError):
     """Invalid or unknown experiment configuration."""
-
-
-def derive_seed(seed: int, label: str) -> int:
-    """Sub-seed for one pipeline stage, independent per label."""
-    return _mix64(_encode(seed) ^ _mix64(_encode(label))) & ((1 << 62) - 1)
 
 
 @dataclass(frozen=True)
@@ -127,8 +123,6 @@ class ExperimentConfig:
                 raise ConfigError(f"{name}={v} outside 0..{self.classes - 1}")
         if self.attack_source == self.attack_target:
             raise ConfigError("attack_source and attack_target must differ")
-        if self.alpha <= 1:
-            raise ConfigError("alpha must exceed 1")
         if self.dataset == "idx":
             missing = [
                 k
@@ -137,6 +131,31 @@ class ExperimentConfig:
             ]
             if missing:
                 raise ConfigError(f"dataset=idx needs paths for {', '.join(missing)}")
+        if self.distance_reference not in DISTANCE_REFERENCES:
+            raise ConfigError(
+                f"distance_reference must be one of {DISTANCE_REFERENCES}, got {self.distance_reference!r}"
+            )
+        try:
+            train_config(self)
+            AuditConfig(self.alpha)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        try:
+            LrpConfig(epsilon=self.lrp_epsilon)
+        except ValueError as exc:
+            raise ConfigError(f"lrp_epsilon: {exc}") from None
+
+
+def train_config(cfg: ExperimentConfig) -> TrainConfig:
+    """The federated-training settings of an experiment."""
+    return TrainConfig(
+        rounds=cfg.rounds,
+        local_passes=cfg.local_passes,
+        batch_size=cfg.batch_size,
+        lr=cfg.lr,
+        aggregation=cfg.aggregation,
+        master_seed=cfg.seed,
+    )
 
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
@@ -146,47 +165,19 @@ def _parse_bool(raw: str) -> bool:
     try:
         return _BOOL[str(raw).strip().lower()]
     except KeyError:
-        raise ConfigError(f"expected a boolean, got {raw!r}") from None
+        raise ValueError("expected a boolean") from None
 
 
 def _parse_epsilon(raw) -> float | None:
+    """'auto' (or None) is the adaptive stabilizer; ExperimentConfig checks values."""
     if raw is None or str(raw).strip().lower() == "auto":
         return None
-    value = float(raw)
-    if value < 0:
-        raise ConfigError("lrp_epsilon must be non-negative or 'auto'")
-    return value
+    return float(raw)
 
 
-_KEY_PARSERS = {
-    "dataset": str,
-    "classes": int,
-    "train_per_class": int,
-    "test_per_class": int,
-    "image_size": int,
-    "idx_train_images": str,
-    "idx_train_labels": str,
-    "idx_test_images": str,
-    "idx_test_labels": str,
-    "nodes": int,
-    "per_node_size": int,
-    "bias_factor": float,
-    "rounds": int,
-    "local_passes": int,
-    "batch_size": int,
-    "lr": float,
-    "aggregation": str,
-    "seed": int,
-    "attacker": int,
-    "attack_source": int,
-    "attack_target": int,
-    "couple_attacker_preferred": _parse_bool,
-    "alpha": float,
-    "lrp_epsilon": _parse_epsilon,
-    "distance_reference": str,
-    "scenario": str,
-    "out": str,
-}
+# one parser per ExperimentConfig field, chosen by its annotation
+_PARSERS = {"str": str, "int": int, "float": float, "bool": _parse_bool, "float | None": _parse_epsilon}
+_KEY_PARSERS = {f.name: _PARSERS[f.type] for f in fields(ExperimentConfig)}
 
 
 def config_from_mapping(mapping: dict) -> ExperimentConfig:
@@ -197,8 +188,6 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
             raise ConfigError(f"unknown config key {key!r}")
         try:
             kwargs[key] = parser(raw) if not isinstance(raw, bool) else raw
-        except ConfigError:
-            raise
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value for {key!r}: {raw!r} ({exc})") from None
     try:
@@ -408,14 +397,6 @@ def run_phase(
     scores are not exported skips it (`reputation=False`)."""
     net, init_params = build_model(cfg)
     nodes = make_nodes(datasets)
-    train_cfg = TrainConfig(
-        rounds=cfg.rounds,
-        local_passes=cfg.local_passes,
-        batch_size=cfg.batch_size,
-        lr=cfg.lr,
-        aggregation=cfg.aggregation,
-        master_seed=cfg.seed,
-    )
     recorder = DistanceRecorder(
         cfg.rounds,
         len(nodes),
@@ -428,7 +409,7 @@ def run_phase(
         tracker = ReputationTracker(net, datasets, cfg.rounds)
         observers.append(tracker)
     start = time.perf_counter()
-    result = run_training(net, init_params, nodes, train_cfg, observers=observers)
+    result = run_training(net, init_params, nodes, train_config(cfg), observers=observers)
     elapsed = time.perf_counter() - start
 
     tensor = recorder.tensor()
@@ -519,16 +500,11 @@ def export_metrics(result: ScenarioResult, out_dir) -> list[str]:
 
     overhead = {}
     for phase in result.phases.values():
-        layers = phase.tensor.dims[2]
-        header_len = len(
-            auditmod.distance_tensor_to_bytes(phase.tensor)
-        ) - 8 * int(np.prod(phase.tensor.dims))
         overhead[phase.name] = {
             "message_count": phase.message_count,
             "train_seconds": phase.train_seconds,
             "model_bytes": len(params_to_bytes(phase.final_params)),
-            "similarity_bytes_per_epoch_per_node": layers * 8
-            + header_len / (phase.tensor.dims[0] * phase.tensor.dims[1]),
+            "similarity_bytes_per_epoch_per_node": auditmod.distance_bytes_per_epoch_node(phase.tensor.dims),
             "relevance_bytes_per_sample": 8 * result.config.image_size**2,
         }
     with open(out / "overhead.json", "w", newline="\n") as fh:
@@ -596,13 +572,12 @@ def audit_run_dir(run_dir, sample_id: int) -> dict:
     tensor = auditmod.load_distance_tensor(run / "distances.bin")
     image, label = load_test_sample(cfg, sample_id)
     sample = model_inputs(net, image[None])[0]
-    target = predict(net, params, sample)
-    rmap = lrp_propagate(net, params, sample, target, LrpConfig(epsilon=cfg.lrp_epsilon))
+    rmap = lrp_propagate(net, params, sample, None, LrpConfig(epsilon=cfg.lrp_epsilon))
     weights = reduce_to_layer_vector(rmap, net)
     matrix = compute_radist(tensor, weights)
     report = detect(matrix, AuditConfig(cfg.alpha), sample_id=sample_id)
     blob = auditmod.audit_report_dict(report)
-    blob["target_class"] = target
+    blob["target_class"] = rmap.target_class
     blob["true_class"] = label
     blob["layer_weights"] = [float(v) for v in weights]
     return blob
@@ -646,7 +621,6 @@ def measure_overhead(
     cfg: ExperimentConfig,
     inference_calls: int = 1000,
     train_repeats: int = 3,
-    inference_batch: int = 50,
 ) -> OverheadReport:
     """Wall-clock and storage cost of auditing, on the configured workload.
 
@@ -661,14 +635,7 @@ def measure_overhead(
     datasets = node_datasets(cfg, train_pool, corrupted=False)
     net, init_params = build_model(cfg)
     nodes = make_nodes(datasets)
-    train_cfg = TrainConfig(
-        rounds=cfg.rounds,
-        local_passes=cfg.local_passes,
-        batch_size=cfg.batch_size,
-        lr=cfg.lr,
-        aggregation=cfg.aggregation,
-        master_seed=cfg.seed,
-    )
+    train_cfg = train_config(cfg)
     samples_per_run = cfg.rounds * cfg.local_passes * sum(len(d) for d in datasets)
 
     plain_seconds, audited_seconds = _train_time_pair(
@@ -687,11 +654,9 @@ def measure_overhead(
 
     def batched_median(work) -> float:
         per_sample = []
-        for start in range(0, inference_calls, inference_batch):
+        for start in range(0, inference_calls, INFERENCE_BATCH):
             lo = start % len(inputs)
-            chunk = inputs[lo : lo + inference_batch]
-            if len(chunk) == 0:
-                chunk = inputs[:inference_batch]
+            chunk = inputs[lo : lo + INFERENCE_BATCH]
             t0 = time.perf_counter()
             work(chunk)
             per_sample.append((time.perf_counter() - t0) / len(chunk))
@@ -704,10 +669,6 @@ def measure_overhead(
     plain_med = batched_median(lambda chunk: forward_batch(net, params, chunk))
     rel_med = batched_median(relevance_work)
 
-    layers = len(init_params)
-    recorder = DistanceRecorder(cfg.rounds, len(nodes), layers)
-    header_len = len(auditmod.distance_tensor_to_bytes(recorder.tensor())) - 8 * cfg.rounds * len(nodes) * layers
-
     return OverheadReport(
         train_seconds_per_sample_plain=plain_seconds / samples_per_run,
         train_seconds_per_sample_audited=audited_seconds / samples_per_run,
@@ -716,7 +677,9 @@ def measure_overhead(
         inference_seconds_with_relevance=rel_med,
         inference_overhead_ratio=rel_med / plain_med,
         model_bytes=len(params_to_bytes(params)),
-        similarity_bytes_per_epoch_per_node=layers * 8 + header_len / (cfg.rounds * len(nodes)),
+        similarity_bytes_per_epoch_per_node=auditmod.distance_bytes_per_epoch_node(
+            (cfg.rounds, len(nodes), len(init_params))
+        ),
         relevance_bytes_per_sample=8 * cfg.image_size**2,
         message_count=result.message_count,
     )

@@ -24,7 +24,6 @@ from .nn import (
     Network,
     ReLU,
     _col2im_add,
-    _conv_cols,
     _frozen,
     _pool_winner_scatter,
     forward_collect,
@@ -51,8 +50,8 @@ class LrpConfig:
     rules: Mapping[str, str] = field(default_factory=lambda: dict(DEFAULT_RULES))
 
     def __post_init__(self):
-        if self.epsilon is not None and self.epsilon < 0:
-            raise ValueError("epsilon must be non-negative")
+        if self.epsilon is not None and not self.epsilon >= 0:  # NaN fails too
+            raise ValueError(f"epsilon must be non-negative, got {self.epsilon}")
         for kind, rule in self.rules.items():
             if kind not in _SUPPORTED or rule not in _SUPPORTED[kind]:
                 raise RuleError(f"unsupported rule {rule!r} for layer kind {kind!r}")
@@ -88,27 +87,17 @@ def _effective_epsilon(cfg: LrpConfig, z: np.ndarray):
     return eps.reshape((z.shape[0],) + (1,) * (z.ndim - 1))
 
 
-def _stabilize(z: np.ndarray, eps) -> np.ndarray:
-    if np.all(eps == 0):
-        return z
-    return z + eps * np.where(z >= 0, 1.0, -1.0)
-
-
-def _safe_div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(den != 0, num / den, 0.0)
-    return out
-
-
 def _redistribution_factor(r_out, z, cfg, nonneg: bool) -> np.ndarray:
-    """r_out / stabilized(z); with a positive stabilizer the denominator can
-    never vanish, so the division needs no guard."""
+    """r_out / (z + eps * sign(z)), sign(0) = +1; `nonneg` z needs no sign.
+    A positive stabilizer keeps the denominator away from zero; with an
+    explicit zero stabilizer, a zero denominator gives a zero factor."""
     eps = _effective_epsilon(cfg, z)
-    if np.all(eps > 0):
-        if nonneg:
-            return r_out / (z + eps)
-        return r_out / (z + eps * np.where(z >= 0, 1.0, -1.0))
-    return _safe_div(r_out, _stabilize(z, eps))
+    if np.all(eps == 0):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(z != 0, r_out / z, 0.0)
+    if not nonneg:
+        eps = eps * np.where(z >= 0, 1.0, -1.0)
+    return r_out / (z + eps)
 
 
 def _dense_rule(w, b, a, r_out, z_out, cfg):
@@ -126,8 +115,6 @@ def _conv_rule(spec, w, a, r_out, z_out, cols, cfg):
     b, co, ho, wo = r_out.shape
     if cfg.rule_for("conv2d") == "zplus":
         w_eff = np.maximum(w, 0.0).reshape(co, -1)
-        if cols is None:
-            cols, _, _ = _conv_cols(a, spec.kernel, spec.stride, spec.padding)
         z = (w_eff @ cols).reshape(co, b, ho, wo).transpose(1, 0, 2, 3)
         s = _redistribution_factor(r_out, z, cfg, nonneg=True)
     else:
@@ -209,8 +196,6 @@ def lrp_propagate(
     neuron); passing a class explicitly supports reviewing any decision,
     including the wrong winner of a misclassification.
     """
-    if target_class is not None and not 0 <= target_class < net.class_count:
-        raise ValueError(f"target class {target_class} out of range [0, {net.class_count})")
     batch = np.asarray(sample, dtype=np.float64)[None]
     targets = None if target_class is None else np.array([target_class])
     rel, targets = lrp_propagate_batch(net, params, batch, targets, cfg)

@@ -88,16 +88,6 @@ def make_params(pairs) -> LayeredParams:
     return LayeredParams(tuple((_frozen(w), _frozen(b)) for w, b in pairs))
 
 
-@dataclass(frozen=True)
-class ActivationTrace:
-    """Per-boundary activations: input sample first, logits last."""
-
-    boundaries: tuple[np.ndarray, ...]
-
-    def __len__(self) -> int:
-        return len(self.boundaries)
-
-
 class Network:
     """Validated layer stack with inferred per-boundary shapes."""
 
@@ -214,13 +204,8 @@ def _conv_forward_cols(x, w, bias, stride, padding):
     cols, ho, wo = _conv_cols(x, w.shape[2], stride, padding)
     out = w.reshape(co, -1) @ cols  # (Co, B*Ho*Wo)
     out = np.ascontiguousarray(out.reshape(co, b, ho, wo).transpose(1, 0, 2, 3))
-    if bias is not None:
-        out += bias[:, None, None]
+    out += bias[:, None, None]
     return out, cols
-
-
-def _conv_forward(x, w, bias, stride, padding):
-    return _conv_forward_cols(x, w, bias, stride, padding)[0]
 
 
 def _col2im_add(dcols, batch, in_shape, kernel, stride, padding, ho, wo):
@@ -279,11 +264,10 @@ def _pool_forward(x, kernel, stride):
     return flat_win.max(-1)
 
 
-def _pool_winner_scatter(x, kernel, stride, values, arg=None):
-    """Scatter per-window `values` onto each window's first row-major maximum."""
+def _pool_winner_scatter(x, kernel, stride, values, arg):
+    """Scatter per-window `values` onto each window's first row-major maximum,
+    `arg` as `_pool_max_arg` returns it."""
     b, c, h, w = x.shape
-    if arg is None:
-        _, arg = _pool_max_arg(x, kernel, stride)
     ho, wo = arg.shape[2], arg.shape[3]
     rows = (np.arange(ho) * stride)[None, None, :, None] + arg // kernel
     cols = (np.arange(wo) * stride)[None, None, None, :] + arg % kernel
@@ -297,37 +281,19 @@ def _pool_winner_scatter(x, kernel, stride, values, arg=None):
     return out.reshape(b, c, h, w)
 
 
-def _layer_forward(spec, params, x):
-    if isinstance(spec, Dense):
-        w, b = params
-        return x @ w.T + b
-    if isinstance(spec, Conv2D):
-        w, b = params
-        return _conv_forward(x, w, b, spec.stride, spec.padding)
-    if isinstance(spec, ReLU):
-        return np.maximum(x, 0.0)
-    if isinstance(spec, MaxPool):
-        return _pool_forward(x, spec.kernel, spec.stride)
-    if isinstance(spec, Flatten):
-        return x.reshape(x.shape[0], -1)
-    raise ShapeError(f"unknown layer kind {spec!r}")
-
-
 def _layer_backward(spec, params, x, dout, cols=None, pool_arg=None):
-    """Returns (dx, dw, db); dw/db are None for parameterless layers."""
+    """Returns (dx, dw, db); dw/db are None for parameterless layers. Conv and
+    max-pool layers take forward_collect's saved `cols` and `pool_arg`."""
     if isinstance(spec, Dense):
         w, _ = params
         return dout @ w, dout.T @ x, dout.sum(axis=0)
     if isinstance(spec, Conv2D):
         w, _ = params
-        k, s, p = spec.kernel, spec.stride, spec.padding
-        if cols is None:
-            cols, _, _ = _conv_cols(x, k, s, p)
         co = dout.shape[1]
         dout_k = dout.transpose(1, 0, 2, 3).reshape(co, -1)
         dw = (dout_k @ cols.T).reshape(w.shape)
         db = dout.sum(axis=(0, 2, 3))
-        dx = _conv_input_grad(dout, w, x.shape[1:], s, p)
+        dx = _conv_input_grad(dout, w, x.shape[1:], spec.stride, spec.padding)
         return dx, dw, db
     if isinstance(spec, ReLU):
         return dout * (x > 0), None, None
@@ -371,17 +337,23 @@ def forward_collect(net: Network, params: LayeredParams, inputs: np.ndarray, kee
     for li, spec in enumerate(net.specs):
         if isinstance(spec, Conv2D):
             w, b = params.layers[pi]
+            pi += 1
             x, cols = _conv_forward_cols(x, w, b, spec.stride, spec.padding)
             if keep:
                 conv_cols[li] = cols
-            pi += 1
         elif isinstance(spec, Dense):
-            x = _layer_forward(spec, params.layers[pi], x)
+            w, b = params.layers[pi]
             pi += 1
-        elif isinstance(spec, MaxPool) and keep:
-            x, pool_args[li] = _pool_max_arg(x, spec.kernel, spec.stride)
-        else:
-            x = _layer_forward(spec, None, x)
+            x = x @ w.T + b
+        elif isinstance(spec, ReLU):
+            x = np.maximum(x, 0.0)
+        elif isinstance(spec, MaxPool):
+            if keep:
+                x, pool_args[li] = _pool_max_arg(x, spec.kernel, spec.stride)
+            else:
+                x = _pool_forward(x, spec.kernel, spec.stride)
+        else:  # Flatten; Network rejects any other kind
+            x = x.reshape(x.shape[0], -1)
         boundaries.append(x)
     return boundaries, conv_cols, pool_args
 
@@ -390,13 +362,6 @@ def forward_batch(net: Network, params: LayeredParams, inputs: np.ndarray) -> li
     """All boundary activations for a batch; boundaries[0] is the input,
     boundaries[-1] the logits."""
     return forward_collect(net, params, inputs, keep=False)[0]
-
-
-def forward(net: Network, params: LayeredParams, sample: np.ndarray) -> tuple[np.ndarray, ActivationTrace]:
-    """Single-sample forward pass returning logits and the full trace."""
-    boundaries = forward_batch(net, params, np.asarray(sample, dtype=np.float64)[None])
-    trace = ActivationTrace(tuple(_frozen(b[0]) for b in boundaries))
-    return trace.boundaries[-1], trace
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -457,16 +422,6 @@ def sgd_step(params: LayeredParams, grads: LayeredParams, lr: float) -> LayeredP
     )
 
 
-def predict(net: Network, params: LayeredParams, sample: np.ndarray) -> int:
-    """Argmax class for one sample; ties break to the lowest class index."""
-    logits = forward_batch(net, params, np.asarray(sample, dtype=np.float64)[None])[-1]
-    return int(np.argmax(logits[0]))
-
-
-def predict_batch(net: Network, params: LayeredParams, inputs: np.ndarray) -> np.ndarray:
-    return np.argmax(forward_batch(net, params, inputs)[-1], axis=1)
-
-
 def flatten_layer_params(params: LayeredParams, layer: int) -> np.ndarray:
     """1-D view of one layer's parameters: weights row-major, then biases."""
     if not 0 <= layer < len(params):
@@ -502,17 +457,21 @@ def params_to_bytes(params: LayeredParams) -> bytes:
 
 
 def params_from_bytes(raw: bytes) -> LayeredParams:
-    head, _, payload = raw.partition(b"\n")
-    header = json.loads(head.decode())
-    pairs = []
-    offset = 0
-    for entry in header["layers"]:
-        ws, bs = tuple(entry["weights"]), tuple(entry["biases"])
-        count = int(np.prod(ws)) + int(np.prod(bs))
-        flat = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
-        offset += count * 8
-        pairs.append(unflatten_layer_params(flat.astype(np.float64), ws, bs))
-    return make_params(pairs)
+    """Inverse of params_to_bytes; raises ValueError for a foreign header or
+    a payload that is not exactly the size the header declares."""
+    head, newline, payload = raw.partition(b"\n")
+    try:
+        header = json.loads(head)
+        if header["format"] != "fedliab-params":
+            raise ValueError(f"format {header['format']!r}")
+        shapes = [(tuple(e["weights"]), tuple(e["biases"])) for e in header["layers"]]
+        sizes = [int(np.prod(ws)) + int(np.prod(bs)) for ws, bs in shapes]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"not a fedliab-params header: {exc}") from None
+    if not newline or len(payload) != 8 * sum(sizes):
+        raise ValueError(f"params payload is {len(payload)} bytes, header declares {8 * sum(sizes)}")
+    chunks = np.split(np.frombuffer(payload, dtype="<f8").astype(np.float64), np.cumsum(sizes)[:-1])
+    return make_params(unflatten_layer_params(c, ws, bs) for c, (ws, bs) in zip(chunks, shapes))
 
 
 def save_params(params: LayeredParams, path):

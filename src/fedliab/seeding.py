@@ -41,3 +41,8 @@ def derive_key(seed: int, *path) -> np.ndarray:
 def stream(seed: int, *path) -> np.random.Generator:
     """Independent generator for the given seed and derivation path."""
     return np.random.Generator(np.random.Philox(key=derive_key(seed, *path)))
+
+
+def derive_seed(seed: int, label: str) -> int:
+    """Sub-seed for one pipeline stage, independent per label."""
+    return _mix64(_encode(seed) ^ _mix64(_encode(label))) & ((1 << 62) - 1)

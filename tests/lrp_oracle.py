@@ -6,7 +6,7 @@ vectorized implementation, so the two can cross-check each other.
 
 import numpy as np
 
-from fedliab.nn import Conv2D, Dense, Flatten, MaxPool, ReLU, forward
+from fedliab.nn import Conv2D, Dense, Flatten, MaxPool, ReLU, forward_batch
 
 
 def _sign(z):
@@ -101,15 +101,15 @@ def maxpool_oracle(a, r_out, kernel, stride):
 
 def oracle_propagate(net, params, sample, target_class, rules, eps):
     """Full backward relevance pass with the loop rules above."""
-    logits, trace = forward(net, params, sample)
-    rel = [None] * len(trace.boundaries)
+    boundaries = [b[0] for b in forward_batch(net, params, sample[None])]
+    rel = [None] * len(boundaries)
     start = np.zeros(net.class_count)
-    start[target_class] = logits[target_class]
+    start[target_class] = boundaries[-1][target_class]
     rel[-1] = start
     pi = len(params.layers)
     for li in range(len(net.specs) - 1, -1, -1):
         spec = net.specs[li]
-        a = trace.boundaries[li]
+        a = boundaries[li]
         r_out = rel[li + 1]
         if isinstance(spec, Dense):
             pi -= 1
@@ -121,7 +121,7 @@ def oracle_propagate(net, params, sample, target_class, rules, eps):
             w, b = params.layers[pi]
             rel[li] = conv_oracle(a, w, b, r_out, spec.stride, spec.padding, rules["conv2d"], eps)
         elif isinstance(spec, ReLU):
-            out = trace.boundaries[li + 1]
+            out = boundaries[li + 1]
             rel[li] = np.where(out > 0, r_out, 0.0)
         elif isinstance(spec, MaxPool):
             rel[li] = maxpool_oracle(a, r_out, spec.kernel, spec.stride)

@@ -32,7 +32,7 @@ from fedliab.harness import (
     run_scenario,
 )
 from fedliab.lrp import LrpConfig, conservation_report, lrp_propagate
-from fedliab.nn import forward, loss_and_grad
+from fedliab.nn import forward_batch, loss_and_grad
 from lrp_oracle import oracle_propagate
 from netgen import random_mixed_net
 from test_audit import radist_oracle
@@ -84,7 +84,7 @@ def test_criterion_01_lrp_conservation():
     while checked < 50:
         net, params, x = random_mixed_net(seed, bias_scale=0.0)
         seed += 1
-        logits, _ = forward(net, params, x)
+        logits = forward_batch(net, params, x[None])[-1][0]
         target = int(np.argmax(logits))
         if logits[target] <= 0:
             continue  # no relevance to explain; the start mass would be <= 0

@@ -1,16 +1,12 @@
-import json
-
 import numpy as np
 import pytest
 
 from fedliab.audit import (
     AuditConfig,
-    AuditReport,
     DistanceRecorder,
     DistanceTensor,
-    audit_report_dict,
+    ReputationTracker,
     baseline_cosine_score,
-    baseline_reputation,
     compute_radist,
     cosine_distance,
     detect,
@@ -19,11 +15,9 @@ from fedliab.audit import (
     log_round,
     normalize_scores,
     reputation_from_accuracies,
-    write_audit_json,
-    write_distance_csv,
     write_scores_csv,
 )
-from fedliab.flsim import RoundRecord, TrainConfig, run_training
+from fedliab.flsim import RoundRecord, TrainConfig, evaluate, run_training
 from fedliab.nn import make_params
 from test_flsim import tiny_setup
 
@@ -99,6 +93,18 @@ class TestLogRound:
         with pytest.raises(IndexError):
             log_round(RoundRecord(5, (p,), p), np.zeros((2, 1, 1)))
 
+    def test_tensor_names_first_unrecorded_epoch(self):
+        with pytest.raises(ValueError, match="epoch 0 was never recorded"):
+            DistanceRecorder(3, 2, 4).tensor()
+        p = make_params([(np.array([[1.0, 2.0]]), np.array([0.5]))])
+        recorder = DistanceRecorder(3, 2, 1)
+        recorder.on_round(RoundRecord(0, (p, p), p))
+        recorder.on_round(RoundRecord(2, (p, p), p))
+        with pytest.raises(ValueError, match="epoch 1 was never recorded"):
+            recorder.tensor()
+        recorder.on_round(RoundRecord(1, (p, p), p))
+        np.testing.assert_array_equal(recorder.tensor().values, 0.0)
+
 
 class TestRadist:
     def test_constant_tensor(self):
@@ -142,17 +148,6 @@ class TestRadist:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             compute_radist(DistanceTensor(np.zeros((1, 1, 3))), np.ones(2))
-
-    def test_mean_layer_weights(self):
-        from fedliab.audit import mean_layer_weights
-
-        rng = np.random.default_rng(12)
-        vectors = [rng.dirichlet(np.ones(4)) for _ in range(5)]
-        avg = mean_layer_weights(vectors)
-        assert avg.sum() == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(avg, np.mean(vectors, axis=0))
-        with pytest.raises(ValueError):
-            mean_layer_weights([])
 
 
 class TestDetect:
@@ -229,18 +224,25 @@ class TestBaselines:
         assert rep[1, 0] == pytest.approx(0.5)
 
     def test_baseline_reputation_from_records(self):
+        # the observer's score against the same records replayed by hand
         net, params, nodes = tiny_setup(n_nodes=2, per_node=8)
-        cfg = TrainConfig(rounds=2, lr=0.05, batch_size=4, master_seed=3)
+        cfg = TrainConfig(rounds=3, lr=0.05, batch_size=4, master_seed=3)
         records = []
 
         class Keep:
             def on_round(self, record):
                 records.append(record)
 
-        run_training(net, params, nodes, cfg, observers=[Keep()])
-        rep = baseline_reputation(records, [n.dataset for n in nodes], net)
-        assert rep.shape == (2, 2)
-        assert np.all(rep >= 0) and np.all(rep <= 1)
+        datasets = [n.dataset for n in nodes]
+        tracker = ReputationTracker(net, datasets, rounds=3)
+        run_training(net, params, nodes, cfg, observers=[Keep(), tracker])
+        acc = np.array(
+            [[evaluate(net, p, ds).overall for p, ds in zip(r.local_params, datasets)] for r in records]
+        )
+        score = tracker.score()
+        assert score.shape == (3, 2)
+        np.testing.assert_array_equal(score, 1.0 - reputation_from_accuracies(acc))
+        assert np.all(score >= 0) and np.all(score <= 1)
 
 
 class TestNormalize:
@@ -297,6 +299,13 @@ class TestRangeInvariant:
         with pytest.raises(ValueError, match=r"epoch 1, node 2, layer 3"):
             DistanceTensor(values)
 
+    def test_caller_array_stays_writable(self):
+        values = np.full((1, 2, 3), 0.5)
+        t = DistanceTensor(values)
+        assert values.flags.writeable and not t.values.flags.writeable
+        values[0, 1, 2] = 1.5
+        assert t.values[0, 1, 2] == 0.5
+
     def test_infinity_rejected(self):
         values = np.zeros((1, 2, 2))
         values[0, 1, 0] = np.inf
@@ -320,14 +329,22 @@ class TestSerialization:
         back = distance_tensor_from_bytes(distance_tensor_to_bytes(t))
         np.testing.assert_array_equal(back.values, t.values)
 
-    def test_distance_csv(self, tmp_path):
-        t = DistanceTensor(np.array([[[0.25, 0.5]]]))
-        path = tmp_path / "d.csv"
-        write_distance_csv(t, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "epoch,node,layer,distance"
-        assert lines[1] == "0,0,0,0.25"
-        assert len(lines) == 3
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda raw: raw + b"junk1234",
+            lambda raw: raw[:-8],
+            lambda raw: raw.replace(b'"<f8"', b'">f8"'),
+            lambda raw: raw.replace(b"epoch,node,layer", b"node,epoch,layer"),
+            lambda raw: raw.replace(b'"dtype"', b'"dtypo"'),
+            lambda raw: raw.partition(b"\n")[0],
+        ],
+        ids=["trailing", "short", "dtype", "order", "no-dtype", "no-payload"],
+    )
+    def test_malformed_rejected(self, damage):
+        t = DistanceTensor(np.random.default_rng(11).uniform(0, 2, size=(2, 3, 4)))
+        with pytest.raises(ValueError, match="distance"):
+            distance_tensor_from_bytes(damage(distance_tensor_to_bytes(t)))
 
     def test_scores_csv_row_count(self, tmp_path):
         e, n = 4, 3
@@ -341,13 +358,3 @@ class TestSerialization:
         lines = path.read_text().splitlines()
         assert len(lines) == 1 + 3 * e * n
 
-    def test_audit_json(self, tmp_path):
-        report = AuditReport(np.array([0.5, 0.1]), 0.3, (0,), 2.0, sample_id=17)
-        path = tmp_path / "audit.json"
-        write_audit_json(report, path)
-        blob = json.loads(path.read_text())
-        assert blob["flagged"] == [0]
-        assert blob["sample_id"] == 17
-        assert blob == audit_report_dict(report) | {
-            "per_node_mean": [0.5, 0.1]
-        }

@@ -82,3 +82,12 @@ class TestOverheadCommand:
         assert code == 0
         blob = json.loads((out / "overhead.json").read_text())
         assert blob["message_count"] == 2 * 4 * 2
+
+
+@pytest.mark.parametrize("line", ["lr = -1", "rounds = 0", "aggregation = bogus", "lrp_epsilon = nan"])
+def test_bad_setting_exits_1_before_training(tmp_path, capsys, line):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(CONFIG_TEXT + line + "\n")
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+    assert line.split()[0] in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

@@ -19,7 +19,6 @@ from fedliab.data import (
     load_idx,
     partition_counts,
     partition_indices,
-    partition_manifest,
     partition_non_iid,
     synth_class_images,
     synth_generate,
@@ -229,12 +228,16 @@ class TestPartition:
         m, pref = partition_counts(500, 10, 10.0)
         assert m == 26 and pref == 500 - 9 * 26 == 266
 
-    def test_manifest(self):
-        ds = synth_generate(4, 30, seed=2, image_size=8)
-        plan = PartitionPlan(node_count=2, per_node_size=20, bias_factor=2.0, seed=3)
-        manifest = partition_manifest(ds, plan)
-        assert set(manifest["nodes"]) == {"0", "1"}
-        assert len(manifest["nodes"]["0"]) == 20
+
+class TestDataset:
+    def test_freezes_a_view_not_the_callers_arrays(self):
+        images = np.zeros((3, 2, 2))
+        labels = np.array([0, 1, 1], dtype=np.int64)
+        ds = Dataset(images, labels, 2)
+        assert images.flags.writeable and labels.flags.writeable
+        assert not ds.images.flags.writeable and not ds.labels.flags.writeable
+        # a view, so a large training pool is not held twice
+        assert np.shares_memory(ds.images, images) and np.shares_memory(ds.labels, labels)
 
 
 class TestCorrupt:

@@ -136,42 +136,17 @@ class TestRunTraining:
         without = run_training(net, params, nodes, cfg)
         assert params_to_bytes(with_obs.final_params) == params_to_bytes(without.final_params)
 
-    def test_parallel_matches_sequential(self):
-        net, params, nodes = tiny_setup(n_nodes=4)
-        cfg = TrainConfig(rounds=2, lr=0.05, batch_size=4, master_seed=2)
-        seq = run_training(net, params, nodes, cfg, parallel=False)
-        par = run_training(net, params, nodes, cfg, parallel=True)
-        assert params_to_bytes(seq.final_params) == params_to_bytes(par.final_params)
-
     def test_fewer_nodes_fewer_messages(self):
         net, params, nodes = tiny_setup(n_nodes=3)
         cfg = TrainConfig(rounds=2, lr=0.05, batch_size=4, master_seed=2)
         result = run_training(net, params, make_nodes([n.dataset for n in nodes[:2]]), cfg)
         assert result.message_count == 2 * 2 * 2
-        assert len(result.history) == 2
 
     def test_noncontiguous_ids_rejected(self):
         net, params, nodes = tiny_setup(n_nodes=3)
         bad = [nodes[0], nodes[2]]
         with pytest.raises(ValueError, match="contiguous"):
             run_training(net, params, bad, TrainConfig(rounds=1))
-
-
-class TestCheckpoint:
-    def test_round_record_round_trip(self, tmp_path):
-        from fedliab.flsim import RoundRecord, load_round_record, save_round_record
-
-        net, params, nodes = tiny_setup(n_nodes=2)
-        cfg = TrainConfig(rounds=1, lr=0.05, batch_size=4, master_seed=9)
-        locals_ = tuple(local_train(net, n, params, cfg, 0) for n in nodes)
-        record = RoundRecord(7, locals_, aggregate(locals_, [1, 1]))
-        path = tmp_path / "round7.ckpt"
-        save_round_record(record, path)
-        back = load_round_record(path)
-        assert back.epoch == 7
-        assert params_to_bytes(back.global_params) == params_to_bytes(record.global_params)
-        for a, b in zip(back.local_params, record.local_params):
-            assert params_to_bytes(a) == params_to_bytes(b)
 
 
 class TestEvaluate:

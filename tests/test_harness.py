@@ -10,7 +10,6 @@ from fedliab.harness import (
     audit_run_dir,
     config_from_mapping,
     config_to_mapping,
-    derive_seed,
     load_config,
     load_experiment_data,
     load_test_sample,
@@ -23,6 +22,7 @@ from fedliab.harness import (
     run_and_export,
     run_scenario,
 )
+from fedliab.seeding import derive_seed
 
 TINY = dict(
     classes=6,
@@ -76,6 +76,30 @@ class TestConfig:
     def test_attacker_range_checked(self):
         with pytest.raises(ConfigError, match="attacker"):
             config_from_mapping({"nodes": 3, "attacker": 3})
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("lr", "-1"),
+            ("lr", "nan"),
+            ("rounds", "0"),
+            ("batch_size", "0"),
+            ("local_passes", "0"),
+            ("aggregation", "bogus"),
+            ("distance_reference", "bogus"),
+            ("lrp_epsilon", "nan"),
+            ("lrp_epsilon", "-1e-9"),
+            ("alpha", "1"),
+            ("alpha", "nan"),
+            ("couple_attacker_preferred", "maybe"),
+        ],
+    )
+    def test_bad_setting_names_its_key(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            parse_config_text(f"{key} = {value}\n")
+
+    def test_zero_lr_is_legal(self):
+        assert parse_config_text("lr = 0\n").lr == 0.0
 
     def test_idx_requires_paths(self):
         with pytest.raises(ConfigError, match="idx"):

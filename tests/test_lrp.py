@@ -12,7 +12,7 @@ from fedliab.lrp import (
     relevance_to_json,
     relevance_to_pgm,
 )
-from fedliab.nn import Dense, build_network, forward, make_params
+from fedliab.nn import Dense, build_network, forward_batch, make_params
 from lrp_oracle import oracle_propagate
 from netgen import random_conv_net, random_dense_net, random_mixed_net
 
@@ -27,6 +27,10 @@ class TestConfig:
     def test_rejects_negative_epsilon(self):
         with pytest.raises(ValueError):
             LrpConfig(epsilon=-1e-9)
+
+    def test_rejects_nan_epsilon(self):
+        with pytest.raises(ValueError, match="epsilon"):
+            LrpConfig(epsilon=float("nan"))
 
 
 class TestPropagate:
@@ -48,11 +52,11 @@ class TestPropagate:
     def test_shapes_match_trace(self):
         for seed in range(12):
             net, params, x = random_mixed_net(seed)
-            _, trace = forward(net, params, x)
+            boundaries = forward_batch(net, params, x[None])
             rmap = lrp_propagate(net, params, x, 0)
-            assert len(rmap) == len(trace)
-            for r, a in zip(rmap.boundaries, trace.boundaries):
-                assert r.shape == a.shape
+            assert len(rmap) == len(boundaries)
+            for r, a in zip(rmap.boundaries, boundaries):
+                assert r.shape == a.shape[1:]
 
     def test_target_class_out_of_range(self):
         net, params, x = random_dense_net(1)
@@ -80,7 +84,7 @@ class TestConservation:
         # positive inputs, zero biases: every redistribution step conserves
         for seed in range(10):
             net, params, x = random_mixed_net(seed, bias_scale=0.0)
-            logits, _ = forward(net, params, x)
+            logits = forward_batch(net, params, x[None])[-1][0]
             t = int(np.argmax(logits))
             if logits[t] <= 0:
                 continue
@@ -90,14 +94,14 @@ class TestConservation:
 
     def test_start_boundary_leakage_zero(self):
         net, params, x = random_dense_net(3)
-        logits, _ = forward(net, params, x)
+        logits = forward_batch(net, params, x[None])[-1][0]
         rmap = lrp_propagate(net, params, x, 0, LrpConfig(epsilon=0.0))
         assert conservation_report(rmap, logits[0])[-1] == 0.0
 
     def test_epsilon_leakage_reported(self):
         # with a stabilizer, leakage exists and is finite; recorded, not bounded
         net, params, x = random_dense_net(4)
-        logits, _ = forward(net, params, x)
+        logits = forward_batch(net, params, x[None])[-1][0]
         t = int(np.argmax(logits))
         rmap = lrp_propagate(net, params, x, t, LrpConfig(epsilon=0.1))
         leakage = conservation_report(rmap, logits[t])

@@ -10,18 +10,17 @@ from fedliab.nn import (
     ShapeError,
     build_network,
     flatten_layer_params,
-    forward,
     forward_batch,
     loss_and_grad,
     make_params,
     params_from_bytes,
     params_to_bytes,
-    predict,
     reference_network,
     sgd_step,
     softmax,
     unflatten_layer_params,
 )
+from fedliab.lrp import lrp_propagate
 from netgen import random_dense_net, random_mixed_net
 
 
@@ -94,36 +93,35 @@ class TestForward:
     def test_zero_params_zero_logits(self):
         net, params = build_network([Dense(3, 2)], (3,), seed=0)
         zeros = make_params([(np.zeros((2, 3)), np.zeros(2))])
-        logits, _ = forward(net, zeros, np.array([1.0, -2.0, 3.0]))
-        np.testing.assert_array_equal(logits, [0.0, 0.0])
+        logits = forward_batch(net, zeros, np.array([[1.0, -2.0, 3.0]]))[-1]
+        np.testing.assert_array_equal(logits, [[0.0, 0.0]])
 
     def test_relu(self):
         net, _ = build_network([Dense(2, 2), ReLU()], (2,), seed=0)
         eye = make_params([(np.eye(2), np.zeros(2))])
-        logits, trace = forward(net, eye, np.array([-1.0, 2.0]))
-        np.testing.assert_array_equal(logits, [0.0, 2.0])
-        assert len(trace) == 3
+        boundaries = forward_batch(net, eye, np.array([[-1.0, 2.0]]))
+        np.testing.assert_array_equal(boundaries[-1], [[0.0, 2.0]])
+        assert len(boundaries) == 3
 
     def test_hand_network(self):
         net, _ = build_network([Dense(2, 2), ReLU()], (2,), seed=0)
         eye = make_params([(np.eye(2), np.zeros(2))])
-        logits, _ = forward(net, eye, np.array([3.0, -1.0]))
-        np.testing.assert_array_equal(logits, [3.0, 0.0])
+        logits = forward_batch(net, eye, np.array([[3.0, -1.0]]))[-1]
+        np.testing.assert_array_equal(logits, [[3.0, 0.0]])
 
     def test_trace_boundaries(self):
         net, params = build_network(reference_network(10), (1, 28, 28), seed=3)
         x = np.random.default_rng(0).random((1, 28, 28))
-        logits, trace = forward(net, params, x)
-        assert len(trace) == len(net.specs) + 1
-        np.testing.assert_array_equal(trace.boundaries[0], x)
-        np.testing.assert_array_equal(trace.boundaries[-1], logits)
-        for b, shape in zip(trace.boundaries, net.boundary_shapes):
-            assert b.shape == tuple(shape)
+        boundaries = forward_batch(net, params, x[None])
+        assert len(boundaries) == len(net.specs) + 1
+        np.testing.assert_array_equal(boundaries[0][0], x)
+        for b, shape in zip(boundaries, net.boundary_shapes):
+            assert b.shape == (1,) + tuple(shape)
 
     def test_shape_mismatch_raises(self):
         net, params = build_network([Dense(3, 2)], (3,), seed=0)
         with pytest.raises(ShapeError):
-            forward(net, params, np.zeros(4))
+            forward_batch(net, params, np.zeros((1, 4)))
 
     def test_shape_soundness_random_nets(self):
         # forward on any constructible network produces the inferred shapes
@@ -220,18 +218,23 @@ class TestSgd:
 
 
 class TestPredict:
+    """The audited class when none is given: the argmax of the logits, ties
+    broken to the lowest class index."""
+
     def test_argmax(self):
-        assert int(np.argmax(np.array([0.1, 0.9, 0.3]))) == 1
+        net, _ = build_network([Dense(2, 3)], (2,), seed=0)
+        w = make_params([(np.array([[0.1, 0.0], [0.9, 0.0], [0.3, 0.0]]), np.zeros(3))])
+        assert lrp_propagate(net, w, np.array([1.0, 0.0])).target_class == 1
 
     def test_tie_breaks_low(self):
         net, _ = build_network([Dense(2, 2)], (2,), seed=0)
         w = make_params([(np.ones((2, 2)), np.zeros(2))])
-        assert predict(net, w, np.array([0.5, 0.5])) == 0
+        assert lrp_propagate(net, w, np.array([0.5, 0.5])).target_class == 0
 
     def test_all_equal_logits(self):
         net, _ = build_network([Dense(2, 3)], (2,), seed=0)
         zeros = make_params([(np.zeros((3, 2)), np.zeros(3))])
-        assert predict(net, zeros, np.array([1.0, 2.0])) == 0
+        assert lrp_propagate(net, zeros, np.array([1.0, 2.0])).target_class == 0
 
 
 class TestFlatten:
@@ -278,6 +281,21 @@ class TestSerialization:
         raw = params_to_bytes(params)
         _, _, payload = raw.partition(b"\n")
         np.testing.assert_array_equal(np.frombuffer(payload, "<f8"), [1.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda raw: raw + b"junk1234",
+            lambda raw: raw[:-8],
+            lambda raw: raw.replace(b'"fedliab-params"', b'"fedliab-paramz"'),
+            lambda raw: raw.partition(b"\n")[0],
+        ],
+        ids=["trailing", "short", "format", "no-payload"],
+    )
+    def test_malformed_rejected(self, damage):
+        _, params = build_network([Dense(3, 2)], (3,), seed=0)
+        with pytest.raises(ValueError, match="params"):
+            params_from_bytes(damage(params_to_bytes(params)))
 
     def test_params_are_read_only(self):
         _, params = build_network([Dense(3, 2)], (3,), seed=0)

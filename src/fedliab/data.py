@@ -279,11 +279,13 @@ def partition_counts(per_node_size: int, class_count: int, bias_factor: float) -
     m = floor(s / (bias + C - 1)) keeps node sizes exact; the realized ratio
     is slightly above bias_factor.
     """
+    if not 0 <= bias_factor < np.inf:  # a negative bias gives a negative preferred count
+        raise PartitionError(f"bias_factor must be finite and non-negative, got {bias_factor}")
     m = int(per_node_size // (bias_factor + class_count - 1))
     if m < 1:
         raise PartitionError(
             f"per_node_size {per_node_size} too small for {class_count} classes "
-            f"at bias {bias_factor}"
+            f"at bias_factor {bias_factor}"
         )
     return m, per_node_size - (class_count - 1) * m
 

@@ -36,6 +36,7 @@ from .data import (
     corrupt,
     draw_preferred_classes,
     load_idx,
+    partition_counts,
     partition_non_iid,
     synth_class_images,
     synth_generate,
@@ -60,6 +61,7 @@ from .lrp import (
 from .nn import (
     LayeredParams,
     Network,
+    ShapeError,
     build_network,
     forward_batch,
     load_params,
@@ -138,6 +140,10 @@ class ExperimentConfig:
         try:
             train_config(self)
             AuditConfig(self.alpha)
+            partition_counts(self.per_node_size, self.classes, self.bias_factor)
+            Network(reference_network(self.classes, self.image_size), (1, self.image_size, self.image_size))
+        except ShapeError as exc:
+            raise ConfigError(f"image_size {self.image_size}: {exc}") from None
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         try:
@@ -314,6 +320,7 @@ class AuditSelection:
     rule: str
     layer_weights: np.ndarray
     matrix: np.ndarray
+    input_relevance: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -371,17 +378,13 @@ def select_audit_sample(
     rel, targets = lrp_propagate_batch(net, params, inputs[candidates], preds[candidates], lrp_cfg)
     weight_rows = reduce_to_layer_vector_batch(rel, net)
     best = None
-    for i, sample in enumerate(candidates):
-        matrix = compute_radist(tensor, weight_rows[i])
+    for i, row in enumerate(weight_rows):
+        matrix = compute_radist(tensor, row)
         suspicion = float(matrix.mean(axis=0).max() / max(matrix.mean(), 1e-18))
         if best is None or suspicion > best[0]:
-            best = (suspicion, int(sample), int(targets[i]))
-    _, sample_id, target = best
-    # canonical values via the single-sample path, so a later re-audit of the
-    # stored run reproduces them bit-exactly
-    rmap = lrp_propagate(net, params, inputs[sample_id], target, lrp_cfg)
-    weights = reduce_to_layer_vector(rmap, net)
-    return AuditSelection(sample_id, target, rule, weights, compute_radist(tensor, weights))
+            best = (suspicion, i, matrix)
+    _, i, matrix = best
+    return AuditSelection(int(candidates[i]), int(targets[i]), rule, weight_rows[i], matrix, rel[0][i])
 
 
 def run_phase(
@@ -518,20 +521,11 @@ def export_metrics(result: ScenarioResult, out_dir) -> list[str]:
     save_distance_tensor(audit_phase.tensor, out / "distances.bin")
     save_params(audit_phase.final_params, out / "model.bin")
 
-    net, _ = build_model(result.config)
-    image, _ = load_test_sample(result.config, audit_phase.selection.sample_id)
-    sample = model_inputs(net, image[None])[0]
-    rmap = lrp_propagate(
-        net,
-        audit_phase.final_params,
-        sample,
-        audit_phase.selection.target_class,
-        LrpConfig(epsilon=result.config.lrp_epsilon),
-    )
+    relevance = audit_phase.selection.input_relevance
     with open(out / "relevance.json", "w", newline="\n") as fh:
-        json.dump(relevance_to_json(rmap.input_relevance), fh, sort_keys=True)
+        json.dump(relevance_to_json(relevance), fh, sort_keys=True)
         fh.write("\n")
-    relevance_to_pgm(rmap.input_relevance, out / "relevance.pgm")
+    relevance_to_pgm(relevance, out / "relevance.pgm")
 
     return [
         "accuracy.csv",

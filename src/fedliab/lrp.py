@@ -23,7 +23,8 @@ from .nn import (
     MaxPool,
     Network,
     ReLU,
-    _col2im_add,
+    _conv_input_grad,
+    _dense,
     _frozen,
     _pool_winner_scatter,
     forward_collect,
@@ -104,26 +105,22 @@ def _dense_rule(w, b, a, r_out, z_out, cfg):
     # a (B, in), r_out/z_out (B, out)
     if cfg.rule_for("dense") == "zplus":
         wp = np.maximum(w, 0.0)
-        s = _redistribution_factor(r_out, a @ wp.T, cfg, nonneg=True)
-        return a * (s @ wp)
+        s = _redistribution_factor(r_out, _dense(a, wp.T), cfg, nonneg=True)
+        return a * _dense(s, wp)
     s = _redistribution_factor(r_out, z_out, cfg, nonneg=False)
-    return a * (s @ w)
+    return a * _dense(s, w)
 
 
 def _conv_rule(spec, w, a, r_out, z_out, cols, cfg):
-    # a (B, C, H, W); r_out/z_out (B, Co, Ho, Wo); cols (C*k*k, B*Ho*Wo)
-    b, co, ho, wo = r_out.shape
+    # a (B, C, H, W); r_out/z_out (B, Co, Ho, Wo); cols (B, C*k*k, Ho*Wo)
     if cfg.rule_for("conv2d") == "zplus":
-        w_eff = np.maximum(w, 0.0).reshape(co, -1)
-        z = (w_eff @ cols).reshape(co, b, ho, wo).transpose(1, 0, 2, 3)
+        w = np.maximum(w, 0.0)
+        z = np.matmul(w.reshape(w.shape[0], -1), cols).reshape(r_out.shape)
         s = _redistribution_factor(r_out, z, cfg, nonneg=True)
     else:
-        w_eff = w.reshape(co, -1)
         # the epsilon rule's z is the layer's own output, already in the trace
         s = _redistribution_factor(r_out, z_out, cfg, nonneg=False)
-    dcols = w_eff.T @ s.transpose(1, 0, 2, 3).reshape(co, -1)
-    back = _col2im_add(dcols, b, a.shape[1:], spec.kernel, spec.stride, spec.padding, ho, wo)
-    return a * back
+    return a * _conv_input_grad(s, w, a.shape[1:], spec.stride, spec.padding)
 
 
 def lrp_propagate_batch(
@@ -203,19 +200,13 @@ def lrp_propagate(
 
 
 def reduce_to_layer_vector(rmap: RelevanceMap, net: Network) -> np.ndarray:
-    """Convex layer weights: normalized absolute relevance mass at each
-    parameterized layer's input boundary; uniform if total mass is zero."""
-    mass = np.array(
-        [np.abs(rmap.boundaries[li]).sum() for li in net.param_layer_indices]
-    )
-    total = mass.sum()
-    if total == 0:
-        return _frozen(np.full(len(mass), 1.0 / len(mass)))
-    return _frozen(mass / total)
+    """reduce_to_layer_vector_batch for one sample's relevance map."""
+    return _frozen(reduce_to_layer_vector_batch([r[None] for r in rmap.boundaries], net)[0])
 
 
 def reduce_to_layer_vector_batch(rel: list[np.ndarray], net: Network) -> np.ndarray:
-    """Per-sample layer weights (B, L) from batched relevance boundaries."""
+    """Per-sample layer weights (B, L): normalized absolute relevance mass at
+    each parameterized layer's input boundary; uniform if total mass is zero."""
     mass = np.stack(
         [np.abs(rel[li]).reshape(rel[li].shape[0], -1).sum(axis=1) for li in net.param_layer_indices],
         axis=1,

@@ -5,6 +5,10 @@ backward. Forward passes keep every layer-boundary activation, which later
 feeds both backpropagation and relevance propagation. All public operations
 are pure functions of their arguments; parameter arrays are returned
 read-only so they can be shared across threads.
+
+Forward and relevance kernels are batch-invariant: a sample's bits do not
+depend on the batch it is in, so the audit reuses a batched result that a
+single-sample re-audit recomputes. Their GEMMs run per sample (stacked matmul).
 """
 
 from __future__ import annotations
@@ -60,7 +64,9 @@ PARAMETERIZED = (Dense, Conv2D)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
+    # freeze a view of a writable input: no copy, and the caller's array stays writable
     a = np.ascontiguousarray(a, dtype=np.float64)
+    a = a.view() if a.flags.writeable else a
     a.flags.writeable = False
     return a
 
@@ -181,9 +187,16 @@ def build_network(specs, input_shape, seed: int) -> tuple[Network, LayeredParams
 # ---------------------------------------------------------------------------
 
 
+def _dense(x, w):
+    # x (B, in) @ w (in, out), one row-vector product per sample: a single
+    # GEMM over the batch rounds a row differently from a batch of one
+    return np.matmul(x[:, None, :], w)[:, 0]
+
+
 def _conv_cols(x, kernel, stride, padding):
-    # x (B, C, H, W) -> patches laid out (C*k*k, B*Ho*Wo): contiguous writes
-    # per kernel offset, and the reduction axis leads for a single GEMM
+    # x (B, C, H, W) -> per-sample patches (B, C*k*k, Ho*Wo), so that every
+    # conv GEMM is one stacked matmul over samples and a sample's bits do not
+    # depend on its batch; written with one strided copy per kernel offset
     if padding:
         x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     b, c, h, w = x.shape
@@ -191,46 +204,40 @@ def _conv_cols(x, kernel, stride, padding):
     wo = (w - kernel) // stride + 1
     he = (ho - 1) * stride + 1
     we = (wo - 1) * stride + 1
-    cols = np.empty((c, kernel, kernel, b, ho, wo))
+    cols = np.empty((b, c, kernel, kernel, ho, wo))
     for u in range(kernel):
         for v in range(kernel):
-            cols[:, u, v] = x[:, :, u : u + he : stride, v : v + we : stride].transpose(1, 0, 2, 3)
-    return cols.reshape(c * kernel * kernel, b * ho * wo), ho, wo
+            cols[:, :, u, v] = x[:, :, u : u + he : stride, v : v + we : stride]
+    return cols.reshape(b, c * kernel * kernel, ho * wo), ho, wo
 
 
 def _conv_forward_cols(x, w, bias, stride, padding):
-    b = x.shape[0]
     co = w.shape[0]
     cols, ho, wo = _conv_cols(x, w.shape[2], stride, padding)
-    out = w.reshape(co, -1) @ cols  # (Co, B*Ho*Wo)
-    out = np.ascontiguousarray(out.reshape(co, b, ho, wo).transpose(1, 0, 2, 3))
+    out = np.matmul(w.reshape(co, -1), cols).reshape(x.shape[0], co, ho, wo)
     out += bias[:, None, None]
     return out, cols
 
 
-def _col2im_add(dcols, batch, in_shape, kernel, stride, padding, ho, wo):
+def _col2im_add(dcols, in_shape, kernel, stride, padding, ho, wo):
     # inverse of _conv_cols: accumulate patch gradients back onto the input,
     # one kernel offset at a time (k*k vectorized adds, no big intermediate)
+    b = dcols.shape[0]
     c, h, w = in_shape
-    buf = np.zeros((batch, c, h + 2 * padding, w + 2 * padding))
-    d = dcols.reshape(c, kernel, kernel, batch, ho, wo)
+    buf = np.zeros((b, c, h + 2 * padding, w + 2 * padding))
+    d = dcols.reshape(b, c, kernel, kernel, ho, wo)
     he = (ho - 1) * stride + 1
     we = (wo - 1) * stride + 1
     for u in range(kernel):
         for v in range(kernel):
-            buf[:, :, u : u + he : stride, v : v + we : stride] += d[:, u, v].transpose(
-                1, 0, 2, 3
-            )
-    if padding:
-        return buf[:, :, padding : padding + h, padding : padding + w]
-    return buf
+            buf[:, :, u : u + he : stride, v : v + we : stride] += d[:, :, u, v]
+    return buf[:, :, padding : padding + h, padding : padding + w]
 
 
 def _conv_input_grad(dout, w, in_shape, stride, padding):
     b, co, ho, wo = dout.shape
-    dout_k = dout.transpose(1, 0, 2, 3).reshape(co, -1)
-    dcols = w.reshape(co, -1).T @ dout_k  # (C*k*k, B*Ho*Wo)
-    return _col2im_add(dcols, b, in_shape, w.shape[2], stride, padding, ho, wo)
+    dcols = np.matmul(w.reshape(co, -1).T, dout.reshape(b, co, ho * wo))  # (B, C*k*k, Ho*Wo)
+    return _col2im_add(dcols, in_shape, w.shape[2], stride, padding, ho, wo)
 
 
 def _pool_windows(x, kernel, stride):
@@ -289,9 +296,8 @@ def _layer_backward(spec, params, x, dout, cols=None, pool_arg=None):
         return dout @ w, dout.T @ x, dout.sum(axis=0)
     if isinstance(spec, Conv2D):
         w, _ = params
-        co = dout.shape[1]
-        dout_k = dout.transpose(1, 0, 2, 3).reshape(co, -1)
-        dw = (dout_k @ cols.T).reshape(w.shape)
+        b, co = dout.shape[:2]
+        dw = np.matmul(dout.reshape(b, co, -1), cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
         db = dout.sum(axis=(0, 2, 3))
         dx = _conv_input_grad(dout, w, x.shape[1:], spec.stride, spec.padding)
         return dx, dw, db
@@ -344,7 +350,7 @@ def forward_collect(net: Network, params: LayeredParams, inputs: np.ndarray, kee
         elif isinstance(spec, Dense):
             w, b = params.layers[pi]
             pi += 1
-            x = x @ w.T + b
+            x = _dense(x, w.T) + b
         elif isinstance(spec, ReLU):
             x = np.maximum(x, 0.0)
         elif isinstance(spec, MaxPool):

@@ -185,6 +185,7 @@ def test_criterion_05_zero_message_overhead():
     )
 
 
+@pytest.mark.slow
 def test_criterion_06_detection_end_to_end(detection_runs):
     radist_first = 0
     unique_flag = 0
@@ -230,6 +231,7 @@ def test_criterion_06_detection_end_to_end(detection_runs):
     assert clause_a and clause_b and clause_c
 
 
+@pytest.mark.slow
 def test_criterion_07_accuracy_restoration(detection_runs):
     src = ExperimentConfig().attack_source
     clean_attacked = np.mean([r["clean"].eval_result.per_class[src] for r in detection_runs])

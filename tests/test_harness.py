@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from fedliab import data
+from fedliab.flsim import model_inputs
 from fedliab.harness import (
     ConfigError,
     ExperimentConfig,
     audit_run_dir,
+    build_model,
     config_from_mapping,
     config_to_mapping,
     load_config,
@@ -22,6 +24,7 @@ from fedliab.harness import (
     run_and_export,
     run_scenario,
 )
+from fedliab.lrp import LrpConfig, lrp_propagate
 from fedliab.seeding import derive_seed
 
 TINY = dict(
@@ -92,6 +95,10 @@ class TestConfig:
             ("alpha", "1"),
             ("alpha", "nan"),
             ("couple_attacker_preferred", "maybe"),
+            ("bias_factor", "nan"),
+            ("bias_factor", "-0.5"),
+            ("image_size", "4"),
+            ("image_size", "9"),
         ],
     )
     def test_bad_setting_names_its_key(self, key, value):
@@ -227,6 +234,18 @@ class TestExport:
         blob = audit_run_dir(out, phase.audit.sample_id)
         assert blob["per_node_mean"] == [float(v) for v in phase.audit.per_node_mean]
         assert blob["flagged"] == list(phase.audit.flagged)
+        stored = json.loads((out / "audit.json").read_text())
+        assert blob["layer_weights"] == stored["layer_weights"]
+        assert blob["target_class"] == stored["target_class"]
+        # the exported heatmap is the single-sample relevance, bit for bit
+        cfg = result.config
+        net, _ = build_model(cfg)
+        image, _ = load_test_sample(cfg, phase.audit.sample_id)
+        rmap = lrp_propagate(
+            net, phase.final_params, model_inputs(net, image[None])[0], None, LrpConfig(epsilon=cfg.lrp_epsilon)
+        )
+        exported = json.loads((out / "relevance.json").read_text())["values"]
+        assert exported == rmap.input_relevance.ravel().tolist()
 
     def test_audit_bad_sample_id(self, exported):
         out, _ = exported
@@ -249,12 +268,12 @@ class TestLoadTestSample:
             load_test_sample(tiny_config(), sample_id)
 
     def test_idx_reads_only_the_test_pair(self, tmp_path):
-        ds = data.synth_generate(3, 4, seed=5, image_size=8)
+        ds = data.synth_generate(3, 4, seed=5, image_size=10)
         data.write_idx(ds, tmp_path / "test-images", tmp_path / "test-labels")
         cfg = ExperimentConfig(
             dataset="idx",
             classes=3,
-            image_size=8,
+            image_size=10,
             idx_train_images=str(tmp_path / "absent-train-images"),
             idx_train_labels=str(tmp_path / "absent-train-labels"),
             idx_test_images=str(tmp_path / "test-images"),

@@ -8,11 +8,14 @@ from fedliab.lrp import (
     RuleError,
     conservation_report,
     lrp_propagate,
+    lrp_propagate_batch,
     reduce_to_layer_vector,
+    reduce_to_layer_vector_batch,
     relevance_to_json,
     relevance_to_pgm,
 )
-from fedliab.nn import Dense, build_network, forward_batch, make_params
+from fedliab.nn import Dense, build_network, forward_batch, make_params, reference_network
+from fedliab.seeding import stream
 from lrp_oracle import oracle_propagate
 from netgen import random_conv_net, random_dense_net, random_mixed_net
 
@@ -77,6 +80,39 @@ class TestPropagate:
             )
             for got, want in zip(rmap.boundaries, oracle):
                 np.testing.assert_allclose(got, want, atol=1e-10, rtol=0)
+
+
+class TestBatchInvariance:
+    """A sample's boundaries, relevance, target and layer weights have the
+    same bits in any batch as in a batch of one; the audit relies on it to
+    reuse batched relevance where a re-audit recomputes one sample."""
+
+    @pytest.mark.parametrize(
+        "kind, seed",
+        [("conv", s) for s in range(6)]
+        + [("dense", s) for s in range(6)]
+        + [("reference", 20), ("reference", 28)],
+    )
+    def test_batch_matches_batch_of_one(self, kind, seed):
+        if kind == "reference":
+            net, params = build_network(reference_network(10, seed), (1, seed, seed), seed=seed)
+        else:
+            net, params, _ = (random_conv_net if kind == "conv" else random_dense_net)(seed)
+        rng = stream(seed, "batch-invariance")
+        for batch in (1, 7, 50):
+            x = rng.uniform(0.0, 1.0, size=(batch,) + net.input_shape)
+            trace = forward_batch(net, params, x)
+            for i in range(batch):
+                one = forward_batch(net, params, x[i : i + 1])
+                assert all(np.array_equal(a[i], b[0]) for a, b in zip(trace, one)), (batch, i)
+            for cfg in (LrpConfig(), LrpConfig(epsilon=1e-6), ZPLUS_EVERYWHERE):
+                rel, targets = lrp_propagate_batch(net, params, x, None, cfg)
+                weights = reduce_to_layer_vector_batch(rel, net)
+                for i in range(batch):
+                    rel_one, target_one = lrp_propagate_batch(net, params, x[i : i + 1], None, cfg)
+                    assert targets[i] == target_one[0]
+                    assert all(np.array_equal(a[i], b[0]) for a, b in zip(rel, rel_one)), (batch, i, cfg)
+                    assert np.array_equal(weights[i], reduce_to_layer_vector_batch(rel_one, net)[0])
 
 
 class TestConservation:

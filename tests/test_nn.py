@@ -301,3 +301,10 @@ class TestSerialization:
         _, params = build_network([Dense(3, 2)], (3,), seed=0)
         with pytest.raises(ValueError):
             params.layers[0][0][0, 0] = 1.0
+
+    def test_caller_array_stays_writable(self):
+        w = np.ones((2, 2))
+        params = make_params([(w, np.zeros(2))])
+        assert w.flags.writeable
+        assert not params.layers[0][0].flags.writeable
+        assert not params.layers[0][1].flags.writeable

@@ -2,6 +2,7 @@
 round trip is exact, and any truncation or extension raises a named error."""
 
 import json
+import math
 import string
 import tempfile
 from pathlib import Path
@@ -39,16 +40,18 @@ def experiment_configs(draw):
     nodes = draw(st.integers(1, 40))
     source = draw(st.integers(0, classes - 1))
     target = draw(st.integers(0, classes - 2))
+    bias = draw(st.floats(0, 1e6))
     return ExperimentConfig(
         dataset=draw(st.sampled_from(["synthetic", "idx"])),
         classes=classes,
         train_per_class=draw(st.integers(1, 10**6)),
         test_per_class=draw(st.integers(1, 10**6)),
-        image_size=draw(st.integers(1, 64)),
+        image_size=draw(st.integers(10, 64)),  # the smallest the reference network accepts
         **{key: draw(PATH) for key in IDX_KEYS},
         nodes=nodes,
-        per_node_size=draw(st.integers(1, 10**6)),
-        bias_factor=draw(st.floats(0, 1e6)),
+        # at least one sample per class on every node
+        per_node_size=draw(st.integers(math.ceil(bias) + classes - 1, 2 * 10**6)),
+        bias_factor=bias,
         rounds=draw(st.integers(1, 10**4)),
         local_passes=draw(st.integers(1, 10)),
         batch_size=draw(st.integers(1, 10**4)),

@@ -290,6 +290,15 @@ def partition_counts(per_node_size: int, class_count: int, bias_factor: float) -
     return m, per_node_size - (class_count - 1) * m
 
 
+def partition_demand(per_node_size: int, class_count: int, bias_factor: float, preferred) -> np.ndarray:
+    """Samples of each class that the nodes with these preferred classes take."""
+    m, pref_count = partition_counts(per_node_size, class_count, bias_factor)
+    demand = np.full(class_count, m * len(preferred))
+    for p in preferred:
+        demand[p] += pref_count - m
+    return demand
+
+
 def partition_indices(ds: Dataset, plan: PartitionPlan) -> list[np.ndarray]:
     """Disjoint per-node sample indices satisfying the bias plan."""
     c = ds.class_count
@@ -300,9 +309,7 @@ def partition_indices(ds: Dataset, plan: PartitionPlan) -> list[np.ndarray]:
         raise PartitionError("preferred_class_per_node length != node_count")
     m, pref_count = partition_counts(plan.per_node_size, c, plan.bias_factor)
 
-    demand = np.full(c, m * plan.node_count)
-    for p in preferred:
-        demand[p] += pref_count - m
+    demand = partition_demand(plan.per_node_size, c, plan.bias_factor, preferred)
     available = ds.class_histogram()
     for cls in range(c):
         if demand[cls] > available[cls]:

@@ -36,7 +36,7 @@ from .data import (
     corrupt,
     draw_preferred_classes,
     load_idx,
-    partition_counts,
+    partition_demand,
     partition_non_iid,
     synth_class_images,
     synth_generate,
@@ -117,6 +117,8 @@ class ExperimentConfig:
             raise ConfigError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
         if self.dataset not in ("synthetic", "idx"):
             raise ConfigError(f"dataset must be 'synthetic' or 'idx', got {self.dataset!r}")
+        if self.nodes < 2:
+            raise ConfigError(f"nodes must be at least 2, to compare each node with the others; got {self.nodes}")
         if not 0 <= self.attacker < self.nodes:
             raise ConfigError(f"attacker id {self.attacker} outside 0..{self.nodes - 1}")
         for name in ("attack_source", "attack_target"):
@@ -140,12 +142,18 @@ class ExperimentConfig:
         try:
             train_config(self)
             AuditConfig(self.alpha)
-            partition_counts(self.per_node_size, self.classes, self.bias_factor)
+            demand = partition_demand(self.per_node_size, self.classes, self.bias_factor, preferred_classes(self))
             Network(reference_network(self.classes, self.image_size), (1, self.image_size, self.image_size))
         except ShapeError as exc:
             raise ConfigError(f"image_size {self.image_size}: {exc}") from None
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        if self.dataset == "synthetic" and demand.max() > self.train_per_class:
+            cls = int(demand.argmax())
+            raise ConfigError(
+                f"train_per_class {self.train_per_class}: the node partition needs {demand[cls]} "
+                f"samples of class {cls}"
+            )
         try:
             LrpConfig(epsilon=self.lrp_epsilon)
         except ValueError as exc:

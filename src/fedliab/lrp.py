@@ -97,7 +97,7 @@ def _redistribution_factor(r_out, z, cfg, nonneg: bool) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(z != 0, r_out / z, 0.0)
     if not nonneg:
-        eps = eps * np.where(z >= 0, 1.0, -1.0)
+        eps = eps * (1.0 - 2.0 * (z < 0))
     return r_out / (z + eps)
 
 

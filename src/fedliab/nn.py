@@ -9,6 +9,10 @@ read-only so they can be shared across threads.
 Forward and relevance kernels are batch-invariant: a sample's bits do not
 depend on the batch it is in, so the audit reuses a batched result that a
 single-sample re-audit recomputes. Their GEMMs run per sample (stacked matmul).
+
+Backpropagation stops at the lowest parameterized layer, since nothing reads
+the input's gradient, and a ReLU under disjoint max-pool windows is gated at
+pooled size; both leave every gradient bit as the full per-layer pass has it.
 """
 
 from __future__ import annotations
@@ -257,7 +261,8 @@ def _pool_max_arg(x, kernel, stride):
     if kernel == 2 and stride == 2:
         q00, q01, q10, q11 = _pool_quadrants(x, h // 2, w // 2)
         out = np.maximum(np.maximum(q00, q01), np.maximum(q10, q11))
-        arg = np.where(q00 == out, 0, np.where(q01 == out, 1, np.where(q10 == out, 2, 3)))
+        # 0 if q00 wins, else 1 if q01 does, else 2 if q10 does, else 3
+        arg = (q00 != out) * (1 + (q01 != out) * (1 + (q10 != out)))
         return out, arg
     flat_win, _, _ = _pool_windows(x, kernel, stride)
     return flat_win.max(-1), flat_win.argmax(-1)
@@ -276,30 +281,32 @@ def _pool_winner_scatter(x, kernel, stride, values, arg):
     `arg` as `_pool_max_arg` returns it."""
     b, c, h, w = x.shape
     ho, wo = arg.shape[2], arg.shape[3]
-    rows = (np.arange(ho) * stride)[None, None, :, None] + arg // kernel
-    cols = (np.arange(wo) * stride)[None, None, None, :] + arg % kernel
-    out = np.zeros((b, c, h * w))
-    bidx = np.arange(b)[:, None, None, None]
-    cidx = np.arange(c)[None, :, None, None]
+    # flat index of each winner: its offset in the window, plus the window's
+    # corner in its plane, plus the plane's start
+    idx = ((np.arange(kernel) * w)[:, None] + np.arange(kernel)).ravel()[arg]
+    idx += (np.arange(b * c) * (h * w)).reshape(b, c, 1, 1)
+    idx += (np.arange(ho) * (stride * w))[:, None] + np.arange(wo) * stride
+    out = np.zeros(b * c * h * w)
     if stride >= kernel:
-        out[bidx, cidx, rows * w + cols] = values  # disjoint windows: unique winners
+        out[idx] = values  # disjoint windows: unique winners
     else:
-        np.add.at(out, (bidx, cidx, rows * w + cols), values)
+        np.add.at(out, idx, values)  # shared winners accumulate in C order over windows
     return out.reshape(b, c, h, w)
 
 
-def _layer_backward(spec, params, x, dout, cols=None, pool_arg=None):
-    """Returns (dx, dw, db); dw/db are None for parameterless layers. Conv and
-    max-pool layers take forward_collect's saved `cols` and `pool_arg`."""
+def _layer_backward(spec, params, x, dout, cols=None, pool_arg=None, input_grad=True):
+    """Returns (dx, dw, db); dw/db are None for parameterless layers, and dx is
+    None when `input_grad` is false. Conv and max-pool layers take
+    forward_collect's saved `cols` and `pool_arg`."""
     if isinstance(spec, Dense):
         w, _ = params
-        return dout @ w, dout.T @ x, dout.sum(axis=0)
+        return (dout @ w if input_grad else None), dout.T @ x, dout.sum(axis=0)
     if isinstance(spec, Conv2D):
         w, _ = params
         b, co = dout.shape[:2]
         dw = np.matmul(dout.reshape(b, co, -1), cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
         db = dout.sum(axis=(0, 2, 3))
-        dx = _conv_input_grad(dout, w, x.shape[1:], spec.stride, spec.padding)
+        dx = _conv_input_grad(dout, w, x.shape[1:], spec.stride, spec.padding) if input_grad else None
         return dx, dw, db
     if isinstance(spec, ReLU):
         return dout * (x > 0), None, None
@@ -401,18 +408,28 @@ def loss_and_grad(net: Network, params: LayeredParams, batch) -> tuple[float, La
     grads: list = [None] * len(params)
     dout = dlogits
     pi = len(params)
-    for li in range(len(net.specs) - 1, -1, -1):
+    lowest = min(net.param_layer_indices, default=len(net.specs))
+    li = len(net.specs) - 1
+    while li >= lowest:  # nothing reads the gradient below the lowest parameters
         spec = net.specs[li]
         if isinstance(spec, PARAMETERIZED):
             pi -= 1
             dout, dw, db = _layer_backward(
-                spec, params.layers[pi], boundaries[li], dout, cols=conv_cols.get(li)
+                spec, params.layers[pi], boundaries[li], dout, cols=conv_cols.get(li),
+                input_grad=li > lowest,
             )
             grads[pi] = (dw, db)
+        elif isinstance(spec, MaxPool) and spec.stride >= spec.kernel and isinstance(net.specs[li - 1], ReLU):
+            # a ReLU under disjoint pool windows: gate by the pooled output, which
+            # is the winner's activation, and skip the ReLU's full-size pass
+            gated = dout * (boundaries[li + 1] > 0)
+            dout = _pool_winner_scatter(boundaries[li], spec.kernel, spec.stride, gated, pool_args[li])
+            li -= 1
         else:
             dout, _, _ = _layer_backward(
                 spec, None, boundaries[li], dout, pool_arg=pool_args.get(li)
             )
+        li -= 1
     return loss, make_params(grads)
 
 

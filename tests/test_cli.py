@@ -3,6 +3,7 @@ import json
 import pytest
 
 from fedliab.cli import main
+from fedliab.data import synth_generate, write_idx
 
 CONFIG_TEXT = """
 classes = 6
@@ -56,11 +57,27 @@ class TestRun:
         assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 1
 
     def test_runtime_error_exit_code(self, tmp_path, capsys):
-        # plan larger than the dataset: valid config, fails at runtime
+        # plan larger than an IDX corpus: valid config, fails once the data is read
+        for split, per_class in (("train", 80), ("test", 25)):
+            ds = synth_generate(6, per_class, seed=3, image_size=12)
+            write_idx(ds, tmp_path / f"{split}-images", tmp_path / f"{split}-labels")
+        paths = "".join(
+            f"idx_{split}_{kind} = {tmp_path / f'{split}-{kind}'}\n"
+            for split in ("train", "test")
+            for kind in ("images", "labels")
+        )
         bad = tmp_path / "big.cfg"
-        bad.write_text(CONFIG_TEXT.replace("per_node_size = 60", "per_node_size = 400"))
+        bad.write_text(
+            CONFIG_TEXT.replace("per_node_size = 60", "per_node_size = 400") + "dataset = idx\n" + paths
+        )
         assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
         assert "runtime error" in capsys.readouterr().err
+
+    def test_partition_larger_than_synthetic_corpus_is_config_error(self, tmp_path, capsys):
+        bad = tmp_path / "big.cfg"
+        bad.write_text(CONFIG_TEXT.replace("per_node_size = 60", "per_node_size = 400"))
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+        assert "train_per_class 80" in capsys.readouterr().err
 
 
 class TestAudit:

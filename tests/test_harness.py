@@ -99,11 +99,22 @@ class TestConfig:
             ("bias_factor", "-0.5"),
             ("image_size", "4"),
             ("image_size", "9"),
+            ("nodes", "1"),
+            ("nodes", "0"),
+            ("train_per_class", "5"),
         ],
     )
     def test_bad_setting_names_its_key(self, key, value):
         with pytest.raises(ConfigError, match=key):
             parse_config_text(f"{key} = {value}\n")
+
+    def test_partition_must_fit_synthetic_corpus(self):
+        # desk defaults: every class is one node's preferred class, 26 * 9 + 266 = 500
+        assert config_from_mapping({"train_per_class": 500}).train_per_class == 500
+        with pytest.raises(ConfigError, match="train_per_class 499: .* 500 samples"):
+            config_from_mapping({"train_per_class": 499})
+        idx = {k: "x" for k in ("idx_train_images", "idx_train_labels", "idx_test_images", "idx_test_labels")}
+        assert config_from_mapping({"dataset": "idx", "train_per_class": 1, **idx}).train_per_class == 1
 
     def test_zero_lr_is_legal(self):
         assert parse_config_text("lr = 0\n").lr == 0.0

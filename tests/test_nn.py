@@ -20,8 +20,9 @@ from fedliab.nn import (
     softmax,
     unflatten_layer_params,
 )
+from fedliab import nn
 from fedliab.lrp import lrp_propagate
-from netgen import random_dense_net, random_mixed_net
+from netgen import random_conv_net, random_dense_net, random_mixed_net
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +189,144 @@ class TestLossAndGrad:
         _, analytic = loss_and_grad(net, params, (xs, ys))
         numeric = fd_gradients(net, params, (xs, ys))
         assert max_relative_error(analytic, numeric) <= 1e-4
+
+
+# ---------------------------------------------------------------------------
+# bit-exact references: the kernels and the backward pass against literal
+# loops, compared byte for byte so that signed zeros count
+# ---------------------------------------------------------------------------
+
+
+def three_index_scatter(x, kernel, stride, values, arg):
+    """Winner scatter with one broadcast index array per axis."""
+    b, c, h, w = x.shape
+    ho, wo = arg.shape[2], arg.shape[3]
+    rows = (np.arange(ho) * stride)[None, None, :, None] + arg // kernel
+    cols = (np.arange(wo) * stride)[None, None, None, :] + arg % kernel
+    out = np.zeros((b, c, h * w))
+    bidx = np.arange(b)[:, None, None, None]
+    cidx = np.arange(c)[None, :, None, None]
+    if stride >= kernel:
+        out[bidx, cidx, rows * w + cols] = values
+    else:
+        np.add.at(out, (bidx, cidx, rows * w + cols), values)
+    return out.reshape(b, c, h, w)
+
+
+def layer_by_layer_backward(net, params, inputs, labels):
+    """Parameter gradients from a per-layer loop that computes every layer's
+    input gradient, the first layer's too, and every ReLU gate at full size.
+    Returns (grads, gated): `gated` maps each ReLU's layer index to the
+    gradient at its input."""
+    boundaries, conv_cols, _ = nn.forward_collect(net, params, inputs)
+    n = len(labels)
+    d = softmax(boundaries[-1])
+    d[np.arange(n), labels] -= 1.0
+    d /= n
+    grads = [None] * len(params)
+    gated = {}
+    pi = len(params)
+    for li in range(len(net.specs) - 1, -1, -1):
+        spec, x = net.specs[li], boundaries[li]
+        if isinstance(spec, Dense):
+            pi -= 1
+            w, _ = params.layers[pi]
+            grads[pi] = (d.T @ x, d.sum(axis=0))
+            d = d @ w
+        elif isinstance(spec, Conv2D):
+            pi -= 1
+            w, _ = params.layers[pi]
+            b, co = d.shape[:2]
+            dw = np.matmul(d.reshape(b, co, -1), conv_cols[li].transpose(0, 2, 1)).sum(axis=0)
+            grads[pi] = (dw.reshape(w.shape), d.sum(axis=(0, 2, 3)))
+            d = nn._conv_input_grad(d, w, x.shape[1:], spec.stride, spec.padding)
+        elif isinstance(spec, ReLU):
+            d = gated[li] = d * (x > 0)
+        elif isinstance(spec, MaxPool):
+            win, _, _ = nn._pool_windows(x, spec.kernel, spec.stride)
+            d = three_index_scatter(x, spec.kernel, spec.stride, d, win.argmax(-1))
+        else:
+            d = d.reshape(x.shape)
+    return grads, gated
+
+
+def _tied_inputs(shape, kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "equal":
+        return np.full(shape, 0.5)
+    if kind == "signed-zero":  # -0.0 and +0.0 compare equal
+        return rng.choice([-0.0, 0.0], size=shape)
+    return rng.integers(-2, 3, size=shape) / 2.0  # quantized: many ties
+
+
+class TestPoolKernels:
+    @pytest.mark.parametrize("kind", ["equal", "signed-zero", "quantized"])
+    @pytest.mark.parametrize("shape", [(2, 3, 6, 6), (3, 2, 7, 9), (1, 1, 5, 2)])
+    def test_max_arg_is_first_row_major_argmax(self, kind, shape):
+        x = _tied_inputs(shape, kind, seed=sum(shape))
+        win, _, _ = nn._pool_windows(x, 2, 2)
+        out, arg = nn._pool_max_arg(x, 2, 2)
+        assert arg.tobytes() == win.argmax(-1).tobytes()
+        assert out.tobytes() == win.max(-1).tobytes()
+
+    @pytest.mark.parametrize("kernel, stride", [(2, 2), (3, 3), (2, 3), (3, 2), (2, 1)])
+    @pytest.mark.parametrize("shape", [(2, 3, 8, 8), (3, 2, 9, 7)])
+    def test_winner_scatter_matches_three_index_scatter(self, kernel, stride, shape):
+        rng = np.random.default_rng(kernel * 10 + stride)
+        x = _tied_inputs(shape, "quantized", seed=stride)
+        _, arg = nn._pool_max_arg(x, kernel, stride)
+        values = rng.standard_normal(arg.shape)
+        values[rng.random(arg.shape) < 0.3] = -0.0
+        got = nn._pool_winner_scatter(x, kernel, stride, values, arg)
+        assert got.tobytes() == three_index_scatter(x, kernel, stride, values, arg).tobytes()
+
+
+def _grad_identity_net(name):
+    if name.startswith("netgen"):
+        net, params, _ = random_conv_net(int(name[6:]))
+        return net, params
+    if name.startswith("reference"):
+        size = int(name[9:])
+        return build_network(reference_network(6 if size == 28 else 10, size), (1, size, size), seed=size)
+    # a ReLU under overlapping windows: the gate stays at full size
+    kernel, stride = (3, 2) if name == "overlap-3-2" else (2, 1)
+    side = (5 - kernel) // stride + 1
+    specs = [Conv2D(1, 4, kernel=3), ReLU(), MaxPool(kernel, stride), Flatten(), Dense(4 * side * side, 3)]
+    return build_network(specs, (1, 7, 7), seed=7)
+
+
+class TestGradientBitIdentity:
+    @pytest.mark.parametrize("batch", [1, 7, 50])
+    @pytest.mark.parametrize(
+        "name",
+        [f"netgen{s}" for s in range(8)] + ["reference20", "reference28", "overlap-3-2", "overlap-2-1"],
+    )
+    def test_matches_layer_by_layer_backward(self, name, batch, monkeypatch):
+        net, params = _grad_identity_net(name)
+        rng = np.random.default_rng(batch)
+        xs = rng.standard_normal((batch,) + net.input_shape)  # both signs: dead ReLU windows
+        ys = rng.integers(0, net.class_count, size=batch)
+        scattered = []
+        real_scatter = nn._pool_winner_scatter
+
+        def recording_scatter(*args, **kwargs):
+            scattered.append(real_scatter(*args, **kwargs))
+            return scattered[-1]
+
+        monkeypatch.setattr(nn, "_pool_winner_scatter", recording_scatter)
+        _, grads = loss_and_grad(net, params, (xs, ys))
+        want, gated = layer_by_layer_backward(net, params, xs, ys)
+        for (gw, gb), (ww, wb) in zip(grads, want):
+            assert gw.tobytes() == ww.tobytes()
+            assert gb.tobytes() == wb.tobytes()
+        # a pool scatter feeding a ReLU, gated once more, is that ReLU's input
+        # gradient: a gate applied early under overlapping windows loses -0.0
+        boundaries = forward_batch(net, params, xs)
+        pools = [li for li in range(len(net.specs) - 1, 0, -1) if isinstance(net.specs[li], MaxPool)]
+        assert len(scattered) == len(pools)
+        for li, out in zip(pools, scattered):
+            if isinstance(net.specs[li - 1], ReLU):
+                assert (out * (boundaries[li - 1] > 0)).tobytes() == gated[li - 1].tobytes()
 
 
 class TestSgd:

@@ -37,20 +37,24 @@ IDX_KEYS = ("idx_train_images", "idx_train_labels", "idx_test_images", "idx_test
 @st.composite
 def experiment_configs(draw):
     classes = draw(st.integers(2, 60))
-    nodes = draw(st.integers(1, 40))
+    nodes = draw(st.integers(2, 40))
     source = draw(st.integers(0, classes - 1))
     target = draw(st.integers(0, classes - 2))
     bias = draw(st.floats(0, 1e6))
+    # at least one sample per class on every node
+    per_node_size = draw(st.integers(math.ceil(bias) + classes - 1, 2 * 10**6))
+    dataset = draw(st.sampled_from(["synthetic", "idx"]))
+    # a synthetic corpus must hold the partition; nodes * per_node_size always does
+    least = nodes * per_node_size if dataset == "synthetic" else 1
     return ExperimentConfig(
-        dataset=draw(st.sampled_from(["synthetic", "idx"])),
+        dataset=dataset,
         classes=classes,
-        train_per_class=draw(st.integers(1, 10**6)),
+        train_per_class=draw(st.integers(least, least + 10**6)),
         test_per_class=draw(st.integers(1, 10**6)),
         image_size=draw(st.integers(10, 64)),  # the smallest the reference network accepts
         **{key: draw(PATH) for key in IDX_KEYS},
         nodes=nodes,
-        # at least one sample per class on every node
-        per_node_size=draw(st.integers(math.ceil(bias) + classes - 1, 2 * 10**6)),
+        per_node_size=per_node_size,
         bias_factor=bias,
         rounds=draw(st.integers(1, 10**4)),
         local_passes=draw(st.integers(1, 10)),

@@ -128,8 +128,8 @@ class AuditConfig:
     alpha: float = 2.0
 
     def __post_init__(self):
-        if not self.alpha > 1:  # NaN fails too
-            raise ValueError(f"alpha must exceed 1, got {self.alpha}")
+        if not 1 < self.alpha < np.inf:  # NaN fails too
+            raise ValueError(f"alpha must be finite and exceed 1, got {self.alpha}")
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from .harness import (
     ConfigError,
@@ -20,7 +20,6 @@ from .harness import (
     audit_run_dir,
     load_config,
     measure_overhead,
-    overhead_report_dict,
     run_and_export,
 )
 
@@ -78,7 +77,7 @@ def _cmd_audit(args) -> int:
 
 def _cmd_overhead(args) -> int:
     cfg = load_config(args.config)
-    report = overhead_report_dict(measure_overhead(cfg))
+    report = asdict(measure_overhead(cfg))
     text = json.dumps(report, sort_keys=True, indent=2)
     if args.out:
         from pathlib import Path

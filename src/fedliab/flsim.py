@@ -1,10 +1,11 @@
 """Round-based federated averaging over in-process nodes.
 
-Each round: every node trains locally from the broadcast global model, the
-server takes a convex combination of the uploads, and observers see an
-immutable record of the round. Observers cannot influence training, and the
-message counter covers exactly the N uploads and N downloads per round
-whether or not any observer is attached.
+A node is its position in the list of local datasets: node i holds
+datasets[i]. Each round: every node trains locally from the broadcast
+global model, the server takes a convex combination of the uploads, and
+observers see an immutable record of the round. Observers cannot influence
+training, and the message counter covers exactly the N uploads and N
+downloads per round whether or not any observer is attached.
 """
 
 from __future__ import annotations
@@ -30,23 +31,6 @@ EVAL_BATCH = 100
 
 
 @dataclass(frozen=True)
-class NodeState:
-    """One learning node: its id and its local labeled data."""
-
-    node_id: int
-    dataset: Dataset
-
-    def __post_init__(self):
-        if len(self.dataset) == 0:
-            raise ValueError(f"node {self.node_id}: empty dataset")
-
-
-def make_nodes(datasets: Sequence[Dataset]) -> list[NodeState]:
-    """Wrap per-node datasets with contiguous ids 0..N-1."""
-    return [NodeState(i, ds) for i, ds in enumerate(datasets)]
-
-
-@dataclass(frozen=True)
 class TrainConfig:
     rounds: int = 50
     local_passes: int = 1
@@ -59,8 +43,8 @@ class TrainConfig:
         for key in ("rounds", "local_passes", "batch_size"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
-        if not self.lr >= 0:  # NaN fails too
-            raise ValueError(f"lr must be non-negative, got {self.lr}")
+        if not 0 <= self.lr < np.inf:  # NaN fails too
+            raise ValueError(f"lr must be non-negative and finite, got {self.lr}")
         if self.aggregation not in AGGREGATIONS:
             raise ValueError(f"aggregation must be one of {AGGREGATIONS}, got {self.aggregation!r}")
 
@@ -91,7 +75,8 @@ def model_inputs(net: Network, images: np.ndarray) -> np.ndarray:
 
 def local_train(
     net: Network,
-    node: NodeState,
+    node_id: int,
+    dataset: Dataset,
     global_params: LayeredParams,
     cfg: TrainConfig,
     epoch: int,
@@ -101,9 +86,9 @@ def local_train(
     params = global_params
     if cfg.lr == 0:
         return params
-    rng = stream(cfg.master_seed, "batches", node.node_id, epoch)
-    inputs = model_inputs(net, node.dataset.images)
-    labels = node.dataset.labels
+    rng = stream(cfg.master_seed, "batches", node_id, epoch)
+    inputs = model_inputs(net, dataset.images)
+    labels = dataset.labels
     for _ in range(cfg.local_passes):
         order = rng.permutation(len(labels))
         for start in range(0, len(labels), cfg.batch_size):
@@ -142,27 +127,29 @@ def aggregate(local_params: Sequence[LayeredParams], weights: Sequence[float]) -
 def run_training(
     net: Network,
     init_params: LayeredParams,
-    nodes: Sequence[NodeState],
+    datasets: Sequence[Dataset],
     cfg: TrainConfig,
     observers: Sequence[RoundObserver] = (),
 ) -> TrainResult:
-    """E rounds of local training, aggregation, and broadcast."""
-    if not nodes:
+    """E rounds of local training, aggregation, and broadcast; node i
+    trains on datasets[i]."""
+    if not datasets:
         raise ValueError("need at least one node")
-    if [n.node_id for n in nodes] != list(range(len(nodes))):
-        raise ValueError("node ids must be contiguous 0..N-1")
+    for i, ds in enumerate(datasets):
+        if len(ds) == 0:
+            raise ValueError(f"node {i}: empty dataset")
     if cfg.aggregation == "dataset_size_weighted":
-        weights = [float(len(n.dataset)) for n in nodes]
+        weights = [float(len(ds)) for ds in datasets]
     else:
-        weights = [1.0] * len(nodes)
+        weights = [1.0] * len(datasets)
 
     global_params = init_params
     messages = 0
     for epoch in range(cfg.rounds):
-        locals_ = [local_train(net, n, global_params, cfg, epoch) for n in nodes]
-        messages += len(nodes)  # uploads
+        locals_ = [local_train(net, i, ds, global_params, cfg, epoch) for i, ds in enumerate(datasets)]
+        messages += len(datasets)  # uploads
         global_params = aggregate(locals_, weights)
-        messages += len(nodes)  # broadcast of the new global
+        messages += len(datasets)  # broadcast of the new global
         record = RoundRecord(epoch, tuple(locals_), global_params)
         for obs in observers:
             obs.on_round(record)

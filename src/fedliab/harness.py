@@ -45,7 +45,6 @@ from .flsim import (
     EvalResult,
     TrainConfig,
     evaluate,
-    make_nodes,
     model_inputs,
     run_training,
 )
@@ -148,6 +147,8 @@ class ExperimentConfig:
             raise ConfigError(f"image_size {self.image_size}: {exc}") from None
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        if self.dataset == "synthetic" and self.test_per_class < 1:
+            raise ConfigError(f"test_per_class must be >= 1, got {self.test_per_class}")
         if self.dataset == "synthetic" and demand.max() > self.train_per_class:
             cls = int(demand.argmax())
             raise ConfigError(
@@ -407,10 +408,9 @@ def run_phase(
     baseline costs one evaluation per node per round, so a phase whose
     scores are not exported skips it (`reputation=False`)."""
     net, init_params = build_model(cfg)
-    nodes = make_nodes(datasets)
     recorder = DistanceRecorder(
         cfg.rounds,
-        len(nodes),
+        len(datasets),
         len(init_params),
         against=cfg.distance_reference,
         init_params=init_params if cfg.distance_reference == "previous_global" else None,
@@ -420,7 +420,7 @@ def run_phase(
         tracker = ReputationTracker(net, datasets, cfg.rounds)
         observers.append(tracker)
     start = time.perf_counter()
-    result = run_training(net, init_params, nodes, train_config(cfg), observers=observers)
+    result = run_training(net, init_params, datasets, train_config(cfg), observers=observers)
     elapsed = time.perf_counter() - start
 
     tensor = recorder.tensor()
@@ -604,19 +604,21 @@ class OverheadReport:
     message_count: int
 
 
-def _train_time_pair(net, init_params, nodes, train_cfg, audited_observers, repeats):
-    """Median wall time of plain vs audited training, interleaved after a
-    warmup run so allocator and cache state cannot bias either side."""
-    run_training(net, init_params, nodes, train_cfg)  # warmup, discarded
+def _train_time_pair(net, init_params, datasets, train_cfg, audited_observers, repeats):
+    """(plain result, median plain seconds, median audited seconds). The timed
+    runs are interleaved after an untimed warmup run, so allocator and cache
+    state cannot bias either side; training is deterministic, so the warmup's
+    result stands for every plain run."""
+    result = run_training(net, init_params, datasets, train_cfg)
     plain, audited = [], []
     for _ in range(repeats):
         start = time.perf_counter()
-        run_training(net, init_params, nodes, train_cfg)
+        run_training(net, init_params, datasets, train_cfg)
         plain.append(time.perf_counter() - start)
         start = time.perf_counter()
-        run_training(net, init_params, nodes, train_cfg, observers=audited_observers())
+        run_training(net, init_params, datasets, train_cfg, observers=audited_observers())
         audited.append(time.perf_counter() - start)
-    return float(np.median(plain)), float(np.median(audited))
+    return result, float(np.median(plain)), float(np.median(audited))
 
 
 def measure_overhead(
@@ -636,20 +638,17 @@ def measure_overhead(
     train_pool, test = load_experiment_data(cfg)
     datasets = node_datasets(cfg, train_pool, corrupted=False)
     net, init_params = build_model(cfg)
-    nodes = make_nodes(datasets)
     train_cfg = train_config(cfg)
     samples_per_run = cfg.rounds * cfg.local_passes * sum(len(d) for d in datasets)
 
-    plain_seconds, audited_seconds = _train_time_pair(
+    result, plain_seconds, audited_seconds = _train_time_pair(
         net,
         init_params,
-        nodes,
+        datasets,
         train_cfg,
-        lambda: (DistanceRecorder(cfg.rounds, len(nodes), len(init_params)),),
+        lambda: (DistanceRecorder(cfg.rounds, len(datasets), len(init_params)),),
         train_repeats,
     )
-
-    result = run_training(net, init_params, nodes, train_cfg)
     params = result.final_params
     inputs = model_inputs(net, test.images)
     lrp_cfg = LrpConfig(epsilon=cfg.lrp_epsilon)
@@ -680,12 +679,8 @@ def measure_overhead(
         inference_overhead_ratio=rel_med / plain_med,
         model_bytes=len(params_to_bytes(params)),
         similarity_bytes_per_epoch_per_node=auditmod.distance_bytes_per_epoch_node(
-            (cfg.rounds, len(nodes), len(init_params))
+            (cfg.rounds, len(datasets), len(init_params))
         ),
         relevance_bytes_per_sample=8 * cfg.image_size**2,
         message_count=result.message_count,
     )
-
-
-def overhead_report_dict(report: OverheadReport) -> dict:
-    return {k: getattr(report, k) for k in report.__dataclass_fields__}

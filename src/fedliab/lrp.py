@@ -18,7 +18,6 @@ import numpy as np
 from .nn import (
     Conv2D,
     Dense,
-    Flatten,
     LayeredParams,
     MaxPool,
     Network,
@@ -51,17 +50,14 @@ class LrpConfig:
     rules: Mapping[str, str] = field(default_factory=lambda: dict(DEFAULT_RULES))
 
     def __post_init__(self):
-        if self.epsilon is not None and not self.epsilon >= 0:  # NaN fails too
-            raise ValueError(f"epsilon must be non-negative, got {self.epsilon}")
+        if self.epsilon is not None and not 0 <= self.epsilon < np.inf:  # NaN fails too
+            raise ValueError(f"epsilon must be non-negative and finite, got {self.epsilon}")
         for kind, rule in self.rules.items():
             if kind not in _SUPPORTED or rule not in _SUPPORTED[kind]:
                 raise RuleError(f"unsupported rule {rule!r} for layer kind {kind!r}")
-
-    def rule_for(self, kind: str) -> str:
-        try:
-            return self.rules[kind]
-        except KeyError:
-            raise RuleError(f"no rule assigned for layer kind {kind!r}") from None
+        for kind in _SUPPORTED:
+            if kind not in self.rules:
+                raise RuleError(f"no rule assigned for layer kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -101,9 +97,9 @@ def _redistribution_factor(r_out, z, cfg, nonneg: bool) -> np.ndarray:
     return r_out / (z + eps)
 
 
-def _dense_rule(w, b, a, r_out, z_out, cfg):
+def _dense_rule(w, a, r_out, z_out, cfg):
     # a (B, in), r_out/z_out (B, out)
-    if cfg.rule_for("dense") == "zplus":
+    if cfg.rules["dense"] == "zplus":
         wp = np.maximum(w, 0.0)
         s = _redistribution_factor(r_out, _dense(a, wp.T), cfg, nonneg=True)
         return a * _dense(s, wp)
@@ -113,7 +109,7 @@ def _dense_rule(w, b, a, r_out, z_out, cfg):
 
 def _conv_rule(spec, w, a, r_out, z_out, cols, cfg):
     # a (B, C, H, W); r_out/z_out (B, Co, Ho, Wo); cols (B, C*k*k, Ho*Wo)
-    if cfg.rule_for("conv2d") == "zplus":
+    if cfg.rules["conv2d"] == "zplus":
         w = np.maximum(w, 0.0)
         z = np.matmul(w.reshape(w.shape[0], -1), cols).reshape(r_out.shape)
         s = _redistribution_factor(r_out, z, cfg, nonneg=True)
@@ -161,8 +157,8 @@ def lrp_propagate_batch(
         r_out = rel[li + 1]
         if isinstance(spec, Dense):
             pi -= 1
-            w, b = params.layers[pi]
-            rel[li] = _dense_rule(w, b, a_in, r_out, boundaries[li + 1], cfg)
+            w, _ = params.layers[pi]
+            rel[li] = _dense_rule(w, a_in, r_out, boundaries[li + 1], cfg)
         elif isinstance(spec, Conv2D):
             pi -= 1
             w, _ = params.layers[pi]
@@ -173,10 +169,8 @@ def lrp_propagate_batch(
             rel[li] = _pool_winner_scatter(
                 a_in, spec.kernel, spec.stride, r_out, arg=pool_args.get(li)
             )
-        elif isinstance(spec, Flatten):
+        else:  # Flatten; Network rejects any other kind
             rel[li] = r_out.reshape(a_in.shape)
-        else:
-            raise RuleError(f"no relevance rule for layer kind {spec!r}")
     return rel, targets
 
 

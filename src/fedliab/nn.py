@@ -312,9 +312,7 @@ def _layer_backward(spec, params, x, dout, cols=None, pool_arg=None, input_grad=
         return dout * (x > 0), None, None
     if isinstance(spec, MaxPool):
         return _pool_winner_scatter(x, spec.kernel, spec.stride, dout, arg=pool_arg), None, None
-    if isinstance(spec, Flatten):
-        return dout.reshape(x.shape), None, None
-    raise ShapeError(f"unknown layer kind {spec!r}")
+    return dout.reshape(x.shape), None, None  # Flatten; Network rejects any other kind
 
 
 def _check_params(net: Network, params: LayeredParams):

@@ -225,7 +225,7 @@ class TestBaselines:
 
     def test_baseline_reputation_from_records(self):
         # the observer's score against the same records replayed by hand
-        net, params, nodes = tiny_setup(n_nodes=2, per_node=8)
+        net, params, datasets = tiny_setup(n_nodes=2, per_node=8)
         cfg = TrainConfig(rounds=3, lr=0.05, batch_size=4, master_seed=3)
         records = []
 
@@ -233,9 +233,8 @@ class TestBaselines:
             def on_round(self, record):
                 records.append(record)
 
-        datasets = [n.dataset for n in nodes]
         tracker = ReputationTracker(net, datasets, rounds=3)
-        run_training(net, params, nodes, cfg, observers=[Keep(), tracker])
+        run_training(net, params, datasets, cfg, observers=[Keep(), tracker])
         acc = np.array(
             [[evaluate(net, p, ds).overall for p, ds in zip(r.local_params, datasets)] for r in records]
         )

@@ -162,16 +162,15 @@ class TestSanityBar:
     def test_reference_network_learns_synth(self):
         # documented bar: a freshly trained reference network reaches >= 95%
         # held-out accuracy on clean synthetic data
-        from fedliab.flsim import NodeState, TrainConfig, evaluate, local_train
+        from fedliab.flsim import TrainConfig, evaluate, local_train
         from fedliab.nn import build_network, reference_network
 
         train = synth_generate(10, 120, seed=901, image_size=20)
         test = synth_generate(10, 60, seed=902, image_size=20)
         net, params = build_network(reference_network(10, 20), (1, 20, 20), seed=3)
-        node = NodeState(0, train)
         cfg = TrainConfig(rounds=1, batch_size=50, lr=0.05, master_seed=3)
         for epoch in range(12):
-            params = local_train(net, node, params, cfg, epoch)
+            params = local_train(net, 0, train, params, cfg, epoch)
         assert evaluate(net, params, test).overall >= 0.95
 
 

@@ -4,12 +4,10 @@ import pytest
 from fedliab.audit import DistanceRecorder
 from fedliab.data import Dataset, synth_generate
 from fedliab.flsim import (
-    NodeState,
     TrainConfig,
     aggregate,
     evaluate,
     local_train,
-    make_nodes,
     run_training,
 )
 from fedliab.nn import (
@@ -32,43 +30,39 @@ def tiny_setup(n_nodes=3, per_node=12, classes=4, seed=0):
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(ds))
     parts = [ds.subset(order[i * per_node : (i + 1) * per_node]) for i in range(n_nodes)]
-    return net, params, make_nodes(parts)
+    return net, params, parts
 
 
 class TestLocalTrain:
     def test_zero_lr_returns_global(self):
         net, params, nodes = tiny_setup()
         cfg = TrainConfig(rounds=1, lr=0.0, master_seed=1)
-        out = local_train(net, nodes[0], params, cfg, epoch=0)
+        out = local_train(net, 0, nodes[0], params, cfg, epoch=0)
         assert out is params
 
     def test_deterministic(self):
         net, params, nodes = tiny_setup()
         cfg = TrainConfig(rounds=1, lr=0.05, batch_size=4, master_seed=1)
-        a = local_train(net, nodes[1], params, cfg, epoch=3)
-        b = local_train(net, nodes[1], params, cfg, epoch=3)
+        a = local_train(net, 1, nodes[1], params, cfg, epoch=3)
+        b = local_train(net, 1, nodes[1], params, cfg, epoch=3)
         assert params_to_bytes(a) == params_to_bytes(b)
 
     def test_epoch_changes_batch_order(self):
         net, params, nodes = tiny_setup()
         cfg = TrainConfig(rounds=1, lr=0.05, batch_size=4, master_seed=1)
-        a = local_train(net, nodes[1], params, cfg, epoch=0)
-        b = local_train(net, nodes[1], params, cfg, epoch=1)
+        a = local_train(net, 1, nodes[1], params, cfg, epoch=0)
+        b = local_train(net, 1, nodes[1], params, cfg, epoch=1)
         assert params_to_bytes(a) != params_to_bytes(b)
 
     def test_single_sample_equals_sgd_step(self):
         net, params, nodes = tiny_setup()
-        one = NodeState(0, nodes[0].dataset.subset([0]))
+        one = nodes[0].subset([0])
         cfg = TrainConfig(rounds=1, lr=0.1, batch_size=1, master_seed=5)
-        out = local_train(net, one, params, cfg, epoch=0)
-        x = one.dataset.images.reshape(1, 64)
-        _, grads = loss_and_grad(net, params, (x, one.dataset.labels))
+        out = local_train(net, 0, one, params, cfg, epoch=0)
+        x = one.images.reshape(1, 64)
+        _, grads = loss_and_grad(net, params, (x, one.labels))
         expected = sgd_step(params, grads, 0.1)
         assert params_to_bytes(out) == params_to_bytes(expected)
-
-    def test_empty_dataset_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            NodeState(0, Dataset(np.zeros((0, 2, 2)), np.zeros(0, dtype=int), 2))
 
 
 class TestAggregate:
@@ -117,7 +111,7 @@ class TestRunTraining:
         result = run_training(net, params, nodes[:1], cfg)
         manual = params
         for epoch in range(2):
-            manual = local_train(net, nodes[0], manual, cfg, epoch)
+            manual = local_train(net, 0, nodes[0], manual, cfg, epoch)
         assert params_to_bytes(result.final_params) == params_to_bytes(manual)
 
     def test_message_count_with_and_without_observer(self):
@@ -139,14 +133,14 @@ class TestRunTraining:
     def test_fewer_nodes_fewer_messages(self):
         net, params, nodes = tiny_setup(n_nodes=3)
         cfg = TrainConfig(rounds=2, lr=0.05, batch_size=4, master_seed=2)
-        result = run_training(net, params, make_nodes([n.dataset for n in nodes[:2]]), cfg)
+        result = run_training(net, params, nodes[:2], cfg)
         assert result.message_count == 2 * 2 * 2
 
-    def test_noncontiguous_ids_rejected(self):
+    def test_empty_dataset_rejected(self):
         net, params, nodes = tiny_setup(n_nodes=3)
-        bad = [nodes[0], nodes[2]]
-        with pytest.raises(ValueError, match="contiguous"):
-            run_training(net, params, bad, TrainConfig(rounds=1))
+        empty = Dataset(np.zeros((0, 8, 8)), np.zeros(0, dtype=int), 4)
+        with pytest.raises(ValueError, match="node 1: empty"):
+            run_training(net, params, [nodes[0], empty, nodes[2]], TrainConfig(rounds=1))
 
 
 class TestEvaluate:
@@ -176,7 +170,7 @@ class TestEvaluate:
 
     def test_per_class_weighted_mean_is_overall(self):
         net, params, nodes = tiny_setup()
-        ds = nodes[0].dataset
+        ds = nodes[0]
         result = evaluate(net, params, ds)
         hist = ds.class_histogram()
         present = hist > 0

@@ -1,9 +1,10 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from fedliab import data
+from fedliab import data, harness
 from fedliab.flsim import model_inputs
 from fedliab.harness import (
     ConfigError,
@@ -17,7 +18,6 @@ from fedliab.harness import (
     load_test_sample,
     measure_overhead,
     node_datasets,
-    overhead_report_dict,
     parse_config_text,
     preferred_classes,
     rerun_from_manifest,
@@ -85,6 +85,7 @@ class TestConfig:
         [
             ("lr", "-1"),
             ("lr", "nan"),
+            ("lr", "inf"),
             ("rounds", "0"),
             ("batch_size", "0"),
             ("local_passes", "0"),
@@ -92,8 +93,10 @@ class TestConfig:
             ("distance_reference", "bogus"),
             ("lrp_epsilon", "nan"),
             ("lrp_epsilon", "-1e-9"),
+            ("lrp_epsilon", "inf"),
             ("alpha", "1"),
             ("alpha", "nan"),
+            ("alpha", "inf"),
             ("couple_attacker_preferred", "maybe"),
             ("bias_factor", "nan"),
             ("bias_factor", "-0.5"),
@@ -102,6 +105,8 @@ class TestConfig:
             ("nodes", "1"),
             ("nodes", "0"),
             ("train_per_class", "5"),
+            ("test_per_class", "0"),
+            ("test_per_class", "-1"),
         ],
     )
     def test_bad_setting_names_its_key(self, key, value):
@@ -320,9 +325,23 @@ class TestOverhead:
     def test_report_fields(self):
         cfg = tiny_config(rounds=2)
         report = measure_overhead(cfg, inference_calls=40, train_repeats=1)
-        blob = overhead_report_dict(report)
+        blob = asdict(report)
         assert report.message_count == 2 * 4 * 2
         assert report.relevance_bytes_per_sample == 8 * 12 * 12
         assert report.similarity_bytes_per_epoch_per_node > 4 * 8
         assert report.inference_overhead_ratio > 0
         assert set(blob) == set(report.__dataclass_fields__)
+
+    def test_plain_federation_trained_once(self, monkeypatch):
+        # one plain run that is both the warmup and the reported model, then
+        # one timed plain and one timed audited run per repeat
+        audited = []
+        train = harness.run_training
+
+        def counting(*args, **kwargs):
+            audited.append(bool(kwargs.get("observers")))
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_training", counting)
+        measure_overhead(tiny_config(rounds=2), inference_calls=40, train_repeats=1)
+        assert audited == [False, False, True]

@@ -27,6 +27,10 @@ class TestConfig:
         with pytest.raises(RuleError):
             LrpConfig(rules={"dense": "gamma"})
 
+    def test_rejects_missing_layer_kind(self):
+        with pytest.raises(RuleError, match="no rule assigned for layer kind 'conv2d'"):
+            LrpConfig(rules={"dense": "zplus"})
+
     def test_rejects_negative_epsilon(self):
         with pytest.raises(ValueError):
             LrpConfig(epsilon=-1e-9)

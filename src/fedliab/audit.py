@@ -19,9 +19,7 @@ import numpy as np
 
 from .data import Dataset
 from .flsim import RoundRecord, evaluate
-from .nn import LayeredParams, Network, flatten_layer_params
-
-DISTANCE_REFERENCES = ("same_round_global", "previous_global")
+from .nn import Network, flatten_layer_params
 
 
 def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -79,32 +77,15 @@ def log_round(record: RoundRecord, values: np.ndarray) -> None:
 
 
 class DistanceRecorder:
-    """Round observer accumulating the distance tensor.
+    """Round observer accumulating the distance tensor: each upload against
+    the aggregate it produced."""
 
-    `against="same_round_global"` (default) measures uploads against the
-    aggregate they produced; `"previous_global"` measures against the model
-    the round started from (requires init_params).
-    """
-
-    def __init__(self, rounds: int, nodes: int, layers: int,
-                 against: str = "same_round_global",
-                 init_params: LayeredParams | None = None):
-        if against not in DISTANCE_REFERENCES:
-            raise ValueError(f"distance reference must be one of {DISTANCE_REFERENCES}, got {against!r}")
-        if against == "previous_global" and init_params is None:
-            raise ValueError("previous_global mode needs init_params")
+    def __init__(self, rounds: int, nodes: int, layers: int):
         self._values = np.zeros((rounds, nodes, layers))
-        self._against = against
-        self._previous = init_params
         self._recorded = np.zeros(rounds, dtype=bool)
 
     def on_round(self, record: RoundRecord) -> None:
-        if self._against == "same_round_global":
-            log_round(record, self._values)
-        else:
-            reference = RoundRecord(record.epoch, record.local_params, self._previous)
-            log_round(reference, self._values)
-            self._previous = record.global_params
+        log_round(record, self._values)
         self._recorded[record.epoch] = True
 
     def tensor(self) -> DistanceTensor:
@@ -160,13 +141,13 @@ def baseline_cosine_score(tensor: DistanceTensor) -> np.ndarray:
     return tensor.values.mean(axis=2)
 
 
-def reputation_from_accuracies(accuracies: np.ndarray, decay: float = 0.5) -> np.ndarray:
-    """Exponential moving average over epochs, seeded with the first value."""
+def reputation_from_accuracies(accuracies: np.ndarray) -> np.ndarray:
+    """Exponential moving average over epochs at decay 0.5, seeded with the first value."""
     acc = np.asarray(accuracies, dtype=np.float64)
     out = np.empty_like(acc)
     out[0] = acc[0]
     for e in range(1, len(acc)):
-        out[e] = decay * acc[e] + (1 - decay) * out[e - 1]
+        out[e] = 0.5 * acc[e] + 0.5 * out[e - 1]
     return out
 
 

@@ -55,7 +55,7 @@ class Dataset:
             raise ValueError(f"{len(images)} images vs {len(labels)} labels")
         if labels.size and (labels.min() < 0 or labels.max() >= self.class_count):
             raise ValueError(f"labels outside [0, {self.class_count})")
-        if images.size and (images.min() < 0 or images.max() > 1):
+        if images.size and not (0 <= images.min() and images.max() <= 1):  # NaN fails too
             raise ValueError("pixel values outside [0, 1]")
         # freeze views of writable inputs: no copy, and the caller's arrays stay writable
         images = images.view() if images.flags.writeable else images
@@ -157,6 +157,8 @@ def write_idx(ds: Dataset, images_path, labels_path) -> None:
 # ---------------------------------------------------------------------------
 
 
+NOISE_SIGMA = 0.1  # per-pixel Gaussian noise of a synthetic glyph
+MAX_SHIFT = 2  # largest jitter, in pixels, along each axis
 GRATING_CLASS = 6  # one class is a fine diagonal grating: trivially separable,
                    # but its first-layer features are sensitive to pixel noise
 
@@ -194,7 +196,7 @@ def class_template(cls: int, class_count: int, size: int = 28) -> np.ndarray:
     return np.clip(bar + blob, 0.0, 1.0)
 
 
-def _class_glyphs(cls, class_count, per_class, seed, image_size, noise_sigma, max_shift, out) -> None:
+def _class_glyphs(cls, class_count, per_class, seed, image_size, out) -> None:
     """Write one class's unquantized glyphs into `out` (per_class, H, W).
 
     Each class draws from its own stream, so a class can be generated alone.
@@ -203,8 +205,8 @@ def _class_glyphs(cls, class_count, per_class, seed, image_size, noise_sigma, ma
     """
     rng = stream(seed, "synth", cls)
     template = class_template(cls, class_count, image_size)
-    shifts = rng.integers(-max_shift, max_shift + 1, size=(per_class, 2))
-    noise = rng.normal(0.0, noise_sigma, size=(per_class, image_size, image_size))
+    shifts = rng.integers(-MAX_SHIFT, MAX_SHIFT + 1, size=(per_class, 2))
+    noise = rng.normal(0.0, NOISE_SIGMA, size=(per_class, image_size, image_size))
     grid = np.arange(image_size)
     rows = (grid[None, :, None] - shifts[:, 0, None, None]) % image_size
     cols = (grid[None, None, :] - shifts[:, 1, None, None]) % image_size
@@ -222,15 +224,13 @@ def synth_class_images(
     per_class: int,
     seed: int,
     image_size: int = 28,
-    noise_sigma: float = 0.1,
-    max_shift: int = 2,
 ) -> np.ndarray:
     """Class `cls`'s rows of `synth_generate` with the same arguments, bit for
     bit, without generating the other classes."""
     if not 0 <= cls < class_count:
         raise ValueError(f"class {cls} outside 0..{class_count - 1}")
     images = np.empty((per_class, image_size, image_size))
-    _class_glyphs(cls, class_count, per_class, seed, image_size, noise_sigma, max_shift, images)
+    _class_glyphs(cls, class_count, per_class, seed, image_size, images)
     return _quantize(images)
 
 
@@ -239,8 +239,6 @@ def synth_generate(
     per_class: int,
     seed: int,
     image_size: int = 28,
-    noise_sigma: float = 0.1,
-    max_shift: int = 2,
 ) -> Dataset:
     """Deterministic synthetic dataset: jittered class glyphs plus pixel noise.
 
@@ -254,7 +252,7 @@ def synth_generate(
     labels = np.repeat(np.arange(class_count), per_class)
     for cls in range(class_count):
         rows = images[cls * per_class : (cls + 1) * per_class]
-        _class_glyphs(cls, class_count, per_class, seed, image_size, noise_sigma, max_shift, rows)
+        _class_glyphs(cls, class_count, per_class, seed, image_size, rows)
     return Dataset(_quantize(images), labels, class_count)
 
 

@@ -2,10 +2,11 @@
 
 A node is its position in the list of local datasets: node i holds
 datasets[i]. Each round: every node trains locally from the broadcast
-global model, the server takes a convex combination of the uploads, and
-observers see an immutable record of the round. Observers cannot influence
-training, and the message counter covers exactly the N uploads and N
-downloads per round whether or not any observer is attached.
+global model, the server averages the uploads weighted by node dataset
+size (FedAvg), and observers see an immutable record of the round.
+Observers cannot influence training, and the message counter covers
+exactly the N uploads and N downloads per round whether or not any
+observer is attached.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .nn import (
 )
 from .seeding import stream
 
-AGGREGATIONS = ("uniform", "dataset_size_weighted")
 EVAL_BATCH = 100
 
 
@@ -36,7 +36,6 @@ class TrainConfig:
     local_passes: int = 1
     batch_size: int = 32
     lr: float = 0.05
-    aggregation: str = "uniform"
     master_seed: int = 0
 
     def __post_init__(self):
@@ -45,8 +44,6 @@ class TrainConfig:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
         if not 0 <= self.lr < np.inf:  # NaN fails too
             raise ValueError(f"lr must be non-negative and finite, got {self.lr}")
-        if self.aggregation not in AGGREGATIONS:
-            raise ValueError(f"aggregation must be one of {AGGREGATIONS}, got {self.aggregation!r}")
 
 
 @dataclass(frozen=True)
@@ -138,10 +135,7 @@ def run_training(
     for i, ds in enumerate(datasets):
         if len(ds) == 0:
             raise ValueError(f"node {i}: empty dataset")
-    if cfg.aggregation == "dataset_size_weighted":
-        weights = [float(len(ds)) for ds in datasets]
-    else:
-        weights = [1.0] * len(datasets)
+    weights = [float(len(ds)) for ds in datasets]
 
     global_params = init_params
     messages = 0

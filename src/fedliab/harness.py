@@ -18,7 +18,6 @@ import numpy as np
 
 from . import audit as auditmod
 from .audit import (
-    DISTANCE_REFERENCES,
     AuditConfig,
     DistanceRecorder,
     DistanceTensor,
@@ -99,15 +98,12 @@ class ExperimentConfig:
     local_passes: int = 1
     batch_size: int = 50
     lr: float = 0.05
-    aggregation: str = "uniform"
     seed: int = 1
     attacker: int = 0
     attack_source: int = 3
     attack_target: int = 9
-    couple_attacker_preferred: bool = True
     alpha: float = 2.0
     lrp_epsilon: float | None = None
-    distance_reference: str = "same_round_global"
     scenario: str = "with_misbehaving"
     out: str = ""
 
@@ -134,10 +130,6 @@ class ExperimentConfig:
             ]
             if missing:
                 raise ConfigError(f"dataset=idx needs paths for {', '.join(missing)}")
-        if self.distance_reference not in DISTANCE_REFERENCES:
-            raise ConfigError(
-                f"distance_reference must be one of {DISTANCE_REFERENCES}, got {self.distance_reference!r}"
-            )
         try:
             train_config(self)
             AuditConfig(self.alpha)
@@ -168,19 +160,8 @@ def train_config(cfg: ExperimentConfig) -> TrainConfig:
         local_passes=cfg.local_passes,
         batch_size=cfg.batch_size,
         lr=cfg.lr,
-        aggregation=cfg.aggregation,
         master_seed=cfg.seed,
     )
-
-
-_BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
-
-
-def _parse_bool(raw: str) -> bool:
-    try:
-        return _BOOL[str(raw).strip().lower()]
-    except KeyError:
-        raise ValueError("expected a boolean") from None
 
 
 def _parse_epsilon(raw) -> float | None:
@@ -191,7 +172,7 @@ def _parse_epsilon(raw) -> float | None:
 
 
 # one parser per ExperimentConfig field, chosen by its annotation
-_PARSERS = {"str": str, "int": int, "float": float, "bool": _parse_bool, "float | None": _parse_epsilon}
+_PARSERS = {"str": str, "int": int, "float": float, "float | None": _parse_epsilon}
 _KEY_PARSERS = {f.name: _PARSERS[f.type] for f in fields(ExperimentConfig)}
 
 
@@ -202,7 +183,11 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
         if parser is None:
             raise ConfigError(f"unknown config key {key!r}")
         try:
-            kwargs[key] = parser(raw) if not isinstance(raw, bool) else raw
+            if isinstance(raw, bool):
+                raise TypeError("no setting is a boolean")
+            if parser is int and isinstance(raw, float):
+                raise TypeError("expected an integer")
+            kwargs[key] = parser(raw)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value for {key!r}: {raw!r} ({exc})") from None
     try:
@@ -285,15 +270,14 @@ def load_test_sample(cfg: ExperimentConfig, sample_id: int) -> tuple[np.ndarray,
 
 
 def preferred_classes(cfg: ExperimentConfig) -> tuple[int, ...]:
-    """Per-node preferred classes; optionally forces the attacker's preferred
-    class to coincide with the corrupted class."""
+    """Per-node preferred classes, with the attacker's preferred class swapped
+    to the corrupted class (a no-op swap when it already prefers it)."""
     prefs = list(draw_preferred_classes(cfg.nodes, cfg.classes, derive_seed(cfg.seed, "partition")))
-    if cfg.couple_attacker_preferred and prefs[cfg.attacker] != cfg.attack_source:
-        try:
-            j = prefs.index(cfg.attack_source)
-            prefs[cfg.attacker], prefs[j] = prefs[j], prefs[cfg.attacker]
-        except ValueError:
-            prefs[cfg.attacker] = cfg.attack_source
+    try:
+        j = prefs.index(cfg.attack_source)
+        prefs[cfg.attacker], prefs[j] = prefs[j], prefs[cfg.attacker]
+    except ValueError:
+        prefs[cfg.attacker] = cfg.attack_source
     return tuple(prefs)
 
 
@@ -408,13 +392,7 @@ def run_phase(
     baseline costs one evaluation per node per round, so a phase whose
     scores are not exported skips it (`reputation=False`)."""
     net, init_params = build_model(cfg)
-    recorder = DistanceRecorder(
-        cfg.rounds,
-        len(datasets),
-        len(init_params),
-        against=cfg.distance_reference,
-        init_params=init_params if cfg.distance_reference == "previous_global" else None,
-    )
+    recorder = DistanceRecorder(cfg.rounds, len(datasets), len(init_params))
     observers = [recorder]
     if reputation:
         tracker = ReputationTracker(net, datasets, cfg.rounds)

@@ -101,7 +101,7 @@ class TestOverheadCommand:
         assert blob["message_count"] == 2 * 4 * 2
 
 
-@pytest.mark.parametrize("line", ["lr = -1", "rounds = 0", "aggregation = bogus", "lrp_epsilon = nan"])
+@pytest.mark.parametrize("line", ["lr = -1", "rounds = 0", "lrp_epsilon = nan"])
 def test_bad_setting_exits_1_before_training(tmp_path, capsys, line):
     bad = tmp_path / "bad.cfg"
     bad.write_text(CONFIG_TEXT + line + "\n")

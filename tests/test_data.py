@@ -238,6 +238,13 @@ class TestDataset:
         # a view, so a large training pool is not held twice
         assert np.shares_memory(ds.images, images) and np.shares_memory(ds.labels, labels)
 
+    @pytest.mark.parametrize("bad", [np.nan, 1.5, -0.25, np.inf])
+    def test_rejects_pixel_outside_unit_interval(self, bad):
+        images = np.full((2, 3, 3), 0.5)
+        images[1, 2, 0] = bad
+        with pytest.raises(ValueError, match="pixel values outside"):
+            Dataset(images, np.array([0, 1]), 2)
+
 
 class TestCorrupt:
     def test_no_source_unchanged(self):

@@ -114,6 +114,14 @@ class TestRunTraining:
             manual = local_train(net, 0, nodes[0], manual, cfg, epoch)
         assert params_to_bytes(result.final_params) == params_to_bytes(manual)
 
+    def test_uploads_weighted_by_dataset_size(self):
+        net, params, nodes = tiny_setup(n_nodes=2)
+        datasets = [nodes[0], nodes[1].subset(range(4))]
+        cfg = TrainConfig(rounds=1, lr=0.05, batch_size=4, master_seed=2)
+        result = run_training(net, params, datasets, cfg)
+        locals_ = [local_train(net, i, ds, params, cfg, 0) for i, ds in enumerate(datasets)]
+        assert params_to_bytes(result.final_params) == params_to_bytes(aggregate(locals_, [12.0, 4.0]))
+
     def test_message_count_with_and_without_observer(self):
         net, params, nodes = tiny_setup(n_nodes=3)
         cfg = TrainConfig(rounds=4, lr=0.05, batch_size=4, master_seed=2)

@@ -1,5 +1,6 @@
 import json
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +27,8 @@ from fedliab.harness import (
 )
 from fedliab.lrp import LrpConfig, lrp_propagate
 from fedliab.seeding import derive_seed
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 TINY = dict(
     classes=6,
@@ -55,13 +58,11 @@ class TestConfig:
             nodes = 4
             lr = 0.1
             scenario = all_correct
-            couple_attacker_preferred = true
             lrp_epsilon = auto
             """
         )
         assert cfg.nodes == 4 and cfg.lr == 0.1
         assert cfg.scenario == "all_correct"
-        assert cfg.couple_attacker_preferred is True
         assert cfg.lrp_epsilon is None
 
     def test_unknown_key_rejected(self):
@@ -89,15 +90,12 @@ class TestConfig:
             ("rounds", "0"),
             ("batch_size", "0"),
             ("local_passes", "0"),
-            ("aggregation", "bogus"),
-            ("distance_reference", "bogus"),
             ("lrp_epsilon", "nan"),
             ("lrp_epsilon", "-1e-9"),
             ("lrp_epsilon", "inf"),
             ("alpha", "1"),
             ("alpha", "nan"),
             ("alpha", "inf"),
-            ("couple_attacker_preferred", "maybe"),
             ("bias_factor", "nan"),
             ("bias_factor", "-0.5"),
             ("image_size", "4"),
@@ -112,6 +110,18 @@ class TestConfig:
     def test_bad_setting_names_its_key(self, key, value):
         with pytest.raises(ConfigError, match=key):
             parse_config_text(f"{key} = {value}\n")
+
+    @pytest.mark.parametrize(
+        "mapping", [{"rounds": True}, {"rounds": False}, {"rounds": 2.7}, {"nodes": 3.9}, {"lr": True}]
+    )
+    def test_bad_json_value_names_its_key(self, mapping):
+        (key,) = mapping
+        with pytest.raises(ConfigError, match=f"bad value for '{key}'"):
+            config_from_mapping(mapping)
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.name)
+    def test_shipped_config_loads(self, path):
+        assert isinstance(load_config(path), ExperimentConfig)
 
     def test_partition_must_fit_synthetic_corpus(self):
         # desk defaults: every class is one node's preferred class, 26 * 9 + 266 = 500
@@ -142,10 +152,10 @@ class TestConfig:
 
 class TestPreferredClasses:
     def test_coupling_override(self):
-        cfg = tiny_config(couple_attacker_preferred=True)
+        cfg = tiny_config()
         prefs = preferred_classes(cfg)
         assert prefs[cfg.attacker] == cfg.attack_source
-        assert sorted(set(prefs)) == sorted(set(prefs))  # still valid classes
+        assert all(0 <= p < cfg.classes for p in prefs)
 
     def test_default_draw_is_deterministic(self):
         cfg = tiny_config()

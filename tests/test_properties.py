@@ -14,13 +14,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fedliab.audit import (
-    DISTANCE_REFERENCES,
     DistanceTensor,
     distance_tensor_from_bytes,
     distance_tensor_to_bytes,
 )
 from fedliab.data import Dataset, IdxFormatError, load_idx, write_idx
-from fedliab.flsim import AGGREGATIONS
 from fedliab.harness import (
     SCENARIOS,
     ExperimentConfig,
@@ -60,15 +58,12 @@ def experiment_configs(draw):
         local_passes=draw(st.integers(1, 10)),
         batch_size=draw(st.integers(1, 10**4)),
         lr=draw(st.floats(0, 10)),
-        aggregation=draw(st.sampled_from(AGGREGATIONS)),
         seed=draw(st.integers(-(2**63), 2**63)),
         attacker=draw(st.integers(0, nodes - 1)),
         attack_source=source,
         attack_target=target + (target >= source),
-        couple_attacker_preferred=draw(st.booleans()),
         alpha=draw(st.floats(1, 1e3, exclude_min=True)),
         lrp_epsilon=draw(st.none() | st.floats(0, 1e3)),
-        distance_reference=draw(st.sampled_from(DISTANCE_REFERENCES)),
         scenario=draw(st.sampled_from(SCENARIOS)),
     )
 

@@ -187,6 +187,8 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
                 raise TypeError("no setting is a boolean")
             if parser is int and isinstance(raw, float):
                 raise TypeError("expected an integer")
+            if parser is str and not isinstance(raw, str):
+                raise TypeError("expected a string")
             kwargs[key] = parser(raw)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value for {key!r}: {raw!r} ({exc})") from None

@@ -10,6 +10,10 @@ Forward and relevance kernels are batch-invariant: a sample's bits do not
 depend on the batch it is in, so the audit reuses a batched result that a
 single-sample re-audit recomputes. Their GEMMs run per sample (stacked matmul).
 
+Every conv patch operation goes through one cached per-sample patch index:
+im2col is one gather and col2im one bincount, which adds each pixel's
+contributions in kernel-offset order from +0.0, as a per-offset loop would.
+
 Backpropagation stops at the lowest parameterized layer, since nothing reads
 the input's gradient, and a ReLU under disjoint max-pool windows is gated at
 pooled size; both leave every gradient bit as the full per-layer pass has it.
@@ -17,6 +21,7 @@ pooled size; both leave every gradient bit as the full per-layer pass has it.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Union
@@ -197,22 +202,36 @@ def _dense(x, w):
     return np.matmul(x[:, None, :], w)[:, 0]
 
 
+@functools.lru_cache(maxsize=64)
+def _patch_index(c, h, w, kernel, stride):
+    """Read-only flat offset of every patch entry (c, u, v, i, j) within one
+    sample's (c, h, w) plane stack, shaped (c*k*k, ho*wo) in C order.
+
+    Cached per sample shape, never per batch: a batch-sized index for a
+    2,000-sample pass would hold ~100 MB for the life of the process."""
+    ho = (h - kernel) // stride + 1
+    wo = (w - kernel) // stride + 1
+    k = np.arange(kernel)
+    idx = (
+        (np.arange(c) * (h * w))[:, None, None, None, None]
+        + (k * w)[:, None, None, None]
+        + k[:, None, None]
+        + (np.arange(ho) * (stride * w))[:, None]
+        + np.arange(wo) * stride
+    ).reshape(c * kernel * kernel, ho * wo)
+    idx.flags.writeable = False
+    return idx
+
+
 def _conv_cols(x, kernel, stride, padding):
     # x (B, C, H, W) -> per-sample patches (B, C*k*k, Ho*Wo), so that every
     # conv GEMM is one stacked matmul over samples and a sample's bits do not
-    # depend on its batch; written with one strided copy per kernel offset
+    # depend on its batch; one gather through the cached patch index
     if padding:
         x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     b, c, h, w = x.shape
-    ho = (h - kernel) // stride + 1
-    wo = (w - kernel) // stride + 1
-    he = (ho - 1) * stride + 1
-    we = (wo - 1) * stride + 1
-    cols = np.empty((b, c, kernel, kernel, ho, wo))
-    for u in range(kernel):
-        for v in range(kernel):
-            cols[:, :, u, v] = x[:, :, u : u + he : stride, v : v + we : stride]
-    return cols.reshape(b, c * kernel * kernel, ho * wo), ho, wo
+    cols = np.take(x.reshape(b, -1), _patch_index(c, h, w, kernel, stride), axis=1)
+    return cols, (h - kernel) // stride + 1, (w - kernel) // stride + 1
 
 
 def _conv_forward_cols(x, w, bias, stride, padding):
@@ -223,25 +242,24 @@ def _conv_forward_cols(x, w, bias, stride, padding):
     return out, cols
 
 
-def _col2im_add(dcols, in_shape, kernel, stride, padding, ho, wo):
-    # inverse of _conv_cols: accumulate patch gradients back onto the input,
-    # one kernel offset at a time (k*k vectorized adds, no big intermediate)
+def _col2im_add(dcols, in_shape, kernel, stride, padding):
+    # inverse of _conv_cols: one bincount through the patch index. It adds each
+    # pixel's contributions in kernel-offset (u, v) order starting from +0.0,
+    # as a loop of per-offset adds into zeros would, so -0.0 sums stay +0.0
     b = dcols.shape[0]
     c, h, w = in_shape
-    buf = np.zeros((b, c, h + 2 * padding, w + 2 * padding))
-    d = dcols.reshape(b, c, kernel, kernel, ho, wo)
-    he = (ho - 1) * stride + 1
-    we = (wo - 1) * stride + 1
-    for u in range(kernel):
-        for v in range(kernel):
-            buf[:, :, u : u + he : stride, v : v + we : stride] += d[:, :, u, v]
-    return buf[:, :, padding : padding + h, padding : padding + w]
+    hp, wp = h + 2 * padding, w + 2 * padding
+    idx = _patch_index(c, hp, wp, kernel, stride)
+    plane = c * hp * wp
+    flat = (np.arange(b) * plane)[:, None, None] + idx
+    buf = np.bincount(flat.ravel(), weights=dcols.ravel(), minlength=b * plane)
+    return buf.reshape(b, c, hp, wp)[:, :, padding : padding + h, padding : padding + w]
 
 
 def _conv_input_grad(dout, w, in_shape, stride, padding):
     b, co, ho, wo = dout.shape
     dcols = np.matmul(w.reshape(co, -1).T, dout.reshape(b, co, ho * wo))  # (B, C*k*k, Ho*Wo)
-    return _col2im_add(dcols, in_shape, w.shape[2], stride, padding, ho, wo)
+    return _col2im_add(dcols, in_shape, w.shape[2], stride, padding)
 
 
 def _pool_windows(x, kernel, stride):
@@ -396,10 +414,12 @@ def loss_and_grad(net: Network, params: LayeredParams, batch) -> tuple[float, La
     logits = boundaries[-1]
     n = logits.shape[0]
     zmax = logits.max(axis=1, keepdims=True)
-    lse = zmax[:, 0] + np.log(np.exp(logits - zmax).sum(axis=1))
+    e = np.exp(logits - zmax)
+    esum = e.sum(axis=1, keepdims=True)
+    lse = zmax[:, 0] + np.log(esum[:, 0])
     loss = float(np.mean(lse - logits[np.arange(n), labels]))
 
-    dlogits = softmax(logits)
+    dlogits = e / esum  # softmax(logits), from the loss's own exponentials
     dlogits[np.arange(n), labels] -= 1.0
     dlogits /= n
 

@@ -112,7 +112,19 @@ class TestConfig:
             parse_config_text(f"{key} = {value}\n")
 
     @pytest.mark.parametrize(
-        "mapping", [{"rounds": True}, {"rounds": False}, {"rounds": 2.7}, {"nodes": 3.9}, {"lr": True}]
+        "mapping",
+        [
+            {"rounds": True},
+            {"rounds": False},
+            {"rounds": 2.7},
+            {"nodes": 3.9},
+            {"lr": True},
+            {"out": None},
+            {"idx_train_images": None},
+            {"idx_train_labels": [1]},
+            {"idx_test_images": 3},
+            {"dataset": ["synthetic"]},
+        ],
     )
     def test_bad_json_value_names_its_key(self, mapping):
         (key,) = mapping

@@ -329,6 +329,86 @@ class TestGradientBitIdentity:
                 assert (out * (boundaries[li - 1] > 0)).tobytes() == gated[li - 1].tobytes()
 
 
+def loop_conv_cols(x, kernel, stride, padding):
+    """im2col as one strided copy per kernel offset."""
+    if padding:
+        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    b, c, h, w = x.shape
+    ho = (h - kernel) // stride + 1
+    wo = (w - kernel) // stride + 1
+    he = (ho - 1) * stride + 1
+    we = (wo - 1) * stride + 1
+    cols = np.empty((b, c, kernel, kernel, ho, wo))
+    for u in range(kernel):
+        for v in range(kernel):
+            cols[:, :, u, v] = x[:, :, u : u + he : stride, v : v + we : stride]
+    return cols.reshape(b, c * kernel * kernel, ho * wo), ho, wo
+
+
+def loop_col2im_add(dcols, in_shape, kernel, stride, padding, ho, wo):
+    """col2im as one strided add per kernel offset, into zeros."""
+    b = dcols.shape[0]
+    c, h, w = in_shape
+    buf = np.zeros((b, c, h + 2 * padding, w + 2 * padding))
+    d = dcols.reshape(b, c, kernel, kernel, ho, wo)
+    he = (ho - 1) * stride + 1
+    we = (wo - 1) * stride + 1
+    for u in range(kernel):
+        for v in range(kernel):
+            buf[:, :, u : u + he : stride, v : v + we : stride] += d[:, :, u, v]
+    return buf[:, :, padding : padding + h, padding : padding + w]
+
+
+def _with_signed_zeros(a, rng):
+    a[rng.random(a.shape) < 0.2] = -0.0
+    a[rng.random(a.shape) < 0.1] = 0.0
+    return a
+
+
+def _conv_kernel_net(name):
+    if name == "stride2-pad1":
+        specs = [Conv2D(2, 3, kernel=3, stride=2, padding=1), ReLU(), Flatten(), Dense(3 * 5 * 5, 4)]
+        return build_network(specs, (2, 9, 9), seed=3)
+    if name == "k4-s3-p2":
+        specs = [
+            Conv2D(2, 3, kernel=4, stride=3, padding=2), ReLU(),
+            Conv2D(3, 2, kernel=4, stride=3, padding=2), Flatten(), Dense(2 * 2 * 2, 4),
+        ]
+        return build_network(specs, (2, 11, 11), seed=4)
+    return _grad_identity_net(name)
+
+
+class TestConvKernels:
+    """The gather im2col, the bincount col2im and the conv input gradient give
+    the bytes of the per-offset loops, signed zeros included."""
+
+    @pytest.mark.parametrize("batch", [1, 7, 50])
+    @pytest.mark.parametrize(
+        "name", [f"netgen{s}" for s in range(8)] + ["reference20", "reference28", "stride2-pad1", "k4-s3-p2"]
+    )
+    def test_matches_loop_reference(self, name, batch):
+        net, params = _conv_kernel_net(name)
+        rng = np.random.default_rng(batch)
+        convs = [(li, pi) for pi, li in enumerate(net.param_layer_indices) if isinstance(net.specs[li], Conv2D)]
+        assert convs
+        for li, pi in convs:
+            spec, in_shape = net.specs[li], net.boundary_shapes[li]
+            k, s, p = spec.kernel, spec.stride, spec.padding
+            x = _with_signed_zeros(rng.standard_normal((batch,) + in_shape), rng)
+            cols, ho, wo = nn._conv_cols(x, k, s, p)
+            want, wh, ww = loop_conv_cols(x, k, s, p)
+            assert (ho, wo) == (wh, ww)
+            assert cols.tobytes() == want.tobytes()
+            for dcols in (_with_signed_zeros(rng.standard_normal(cols.shape), rng), np.full(cols.shape, -0.0)):
+                got = nn._col2im_add(dcols, in_shape, k, s, p)
+                assert got.tobytes() == loop_col2im_add(dcols, in_shape, k, s, p, ho, wo).tobytes()
+            w, _ = params.layers[pi]
+            dout = _with_signed_zeros(rng.standard_normal((batch, spec.out_channels, ho, wo)), rng)
+            dcols = np.matmul(w.reshape(w.shape[0], -1).T, dout.reshape(batch, w.shape[0], -1))
+            want = loop_col2im_add(dcols, in_shape, k, s, p, ho, wo)
+            assert nn._conv_input_grad(dout, w, in_shape, s, p).tobytes() == want.tobytes()
+
+
 class TestSgd:
     def test_zero_grads_no_change(self):
         _, params = build_network([Dense(3, 2)], (3,), seed=1)

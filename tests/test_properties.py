@@ -1,5 +1,6 @@
 """Property tests for the config parser and the three binary readers: every
-round trip is exact, and any truncation or extension raises a named error."""
+round trip is exact, and any truncation or extension raises a named error.
+The conv patch kernels are checked as an adjoint pair."""
 
 import json
 import math
@@ -26,6 +27,7 @@ from fedliab.harness import (
     config_to_mapping,
     parse_config_text,
 )
+from fedliab import nn
 from fedliab.nn import make_params, params_from_bytes, params_to_bytes
 
 PATH = st.text(alphabet=string.ascii_letters + string.digits + "/._-", min_size=1, max_size=24)
@@ -149,3 +151,39 @@ def test_idx_reader(ds, data):
                 with pytest.raises(IdxFormatError):
                     load_idx(images, labels, class_count=ds.class_count)
             path.write_bytes(raw)
+
+
+@st.composite
+def conv_geometries(draw):
+    """(B, C, H, W, kernel, stride, padding) with the kernel inside the padded input."""
+    kernel, stride, padding = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    side = st.integers(max(1, kernel - 2 * padding), 10)
+    return draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(side), draw(side), kernel, stride, padding
+
+
+@settings(deadline=None)
+@given(conv_geometries(), st.integers(0, 2**32 - 1))
+def test_col2im_is_the_adjoint_of_im2col(geometry, seed):
+    b, c, h, w, kernel, stride, padding = geometry
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((b, c, h, w))
+    cols, ho, wo = nn._conv_cols(x, kernel, stride, padding)
+    assert cols.shape == (b, c * kernel * kernel, ho * wo)
+    d = rng.standard_normal(cols.shape)
+    lhs = float(np.dot(cols.ravel(), d.ravel()))
+    rhs = float(np.dot(x.ravel(), nn._col2im_add(d, (c, h, w), kernel, stride, padding).ravel()))
+    assert abs(lhs - rhs) <= 1e-12 * float(np.abs(cols * d).sum())
+
+
+@settings(deadline=None)
+@given(conv_geometries())
+def test_col2im_of_ones_counts_window_memberships(geometry):
+    b, c, h, w, kernel, stride, padding = geometry
+    cols, ho, wo = nn._conv_cols(np.zeros((b, c, h, w)), kernel, stride, padding)
+    counts = np.zeros((h + 2 * padding, w + 2 * padding))
+    for i in range(ho):
+        for j in range(wo):
+            counts[i * stride : i * stride + kernel, j * stride : j * stride + kernel] += 1
+    got = nn._col2im_add(np.ones(cols.shape), (c, h, w), kernel, stride, padding)
+    want = counts[padding : padding + h, padding : padding + w]
+    assert np.array_equal(got, np.broadcast_to(want, (b, c, h, w)))

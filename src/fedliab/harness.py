@@ -199,8 +199,8 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
-    """Flat `key = value` lines; '#' starts a comment; unknown keys are errors."""
-    mapping = {}
+    """Flat `key = value` lines; '#' starts a comment; unknown or repeated keys are errors."""
+    mapping, key_lines = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -208,14 +208,27 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, value = stripped.partition("=")
-        mapping[key.strip()] = value.strip()
+        key = key.strip()
+        if key in key_lines:
+            raise ConfigError(f"config key {key!r} repeated on lines {key_lines[key]} and {lineno}")
+        key_lines[key] = lineno
+        mapping[key] = value.strip()
     return config_from_mapping(mapping)
+
+
+def _unique_json_keys(pairs) -> dict:
+    mapping = {}
+    for key, value in pairs:
+        if key in mapping:
+            raise ConfigError(f"config key {key!r} repeated")
+        mapping[key] = value
+    return mapping
 
 
 def load_config(path) -> ExperimentConfig:
     raw = Path(path).read_text()
     if str(path).endswith(".json"):
-        return config_from_mapping(json.loads(raw))
+        return config_from_mapping(json.loads(raw, object_pairs_hook=_unique_json_keys))
     return parse_config_text(raw)
 
 
@@ -238,6 +251,15 @@ def config_to_mapping(cfg: ExperimentConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _load_idx_pair(cfg: ExperimentConfig, images_path, labels_path) -> Dataset:
+    """An IDX pair whose images must be image_size x image_size."""
+    ds = load_idx(images_path, labels_path, class_count=cfg.classes)
+    rows, cols = ds.images.shape[1:]
+    if (rows, cols) != (cfg.image_size, cfg.image_size):
+        raise ConfigError(f"{images_path}: images are {rows}x{cols}, but image_size = {cfg.image_size}")
+    return ds
+
+
 def load_experiment_data(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
     """(train pool, test set) per the config's dataset source."""
     if cfg.dataset == "synthetic":
@@ -248,8 +270,8 @@ def load_experiment_data(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
             cfg.classes, cfg.test_per_class, derive_seed(cfg.seed, "synth-test"), cfg.image_size
         )
         return train, test
-    train = load_idx(cfg.idx_train_images, cfg.idx_train_labels, class_count=cfg.classes)
-    test = load_idx(cfg.idx_test_images, cfg.idx_test_labels, class_count=cfg.classes)
+    train = _load_idx_pair(cfg, cfg.idx_train_images, cfg.idx_train_labels)
+    test = _load_idx_pair(cfg, cfg.idx_test_images, cfg.idx_test_labels)
     return train, test
 
 
@@ -265,7 +287,7 @@ def load_test_sample(cfg: ExperimentConfig, sample_id: int) -> tuple[np.ndarray,
             cls, cfg.classes, cfg.test_per_class, derive_seed(cfg.seed, "synth-test"), cfg.image_size
         )
         return images[row], cls
-    test = load_idx(cfg.idx_test_images, cfg.idx_test_labels, class_count=cfg.classes)
+    test = _load_idx_pair(cfg, cfg.idx_test_images, cfg.idx_test_labels)
     if not 0 <= sample_id < len(test):
         raise RuntimeError(f"sample id {sample_id} outside test set of {len(test)}")
     return test.images[sample_id], int(test.labels[sample_id])
@@ -552,6 +574,11 @@ def audit_run_dir(run_dir, sample_id: int) -> dict:
     net, _ = build_model(cfg)
     params = load_params(run / "model.bin")
     tensor = auditmod.load_distance_tensor(run / "distances.bin")
+    logged = (cfg.rounds, cfg.nodes, net.num_param_layers)
+    if tensor.dims != logged:
+        raise ValueError(
+            f"{run / 'distances.bin'}: (rounds, nodes, layers) is {tensor.dims}, manifest.json says {logged}"
+        )
     image, label = load_test_sample(cfg, sample_id)
     sample = model_inputs(net, image[None])[0]
     rmap = lrp_propagate(net, params, sample, None, LrpConfig(epsilon=cfg.lrp_epsilon))

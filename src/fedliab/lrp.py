@@ -107,7 +107,7 @@ def _dense_rule(w, a, r_out, z_out, cfg):
     return a * _dense(s, w)
 
 
-def _conv_rule(spec, w, a, r_out, z_out, cols, cfg):
+def _conv_rule(w, a, r_out, z_out, cols, cfg):
     # a (B, C, H, W); r_out/z_out (B, Co, Ho, Wo); cols (B, C*k*k, Ho*Wo)
     if cfg.rules["conv2d"] == "zplus":
         w = np.maximum(w, 0.0)
@@ -116,7 +116,7 @@ def _conv_rule(spec, w, a, r_out, z_out, cols, cfg):
     else:
         # the epsilon rule's z is the layer's own output, already in the trace
         s = _redistribution_factor(r_out, z_out, cfg, nonneg=False)
-    return a * _conv_input_grad(s, w, a.shape[1:], spec.stride, spec.padding)
+    return a * _conv_input_grad(s, w, a.shape[1:])
 
 
 def lrp_propagate_batch(
@@ -162,13 +162,11 @@ def lrp_propagate_batch(
         elif isinstance(spec, Conv2D):
             pi -= 1
             w, _ = params.layers[pi]
-            rel[li] = _conv_rule(spec, w, a_in, r_out, boundaries[li + 1], conv_cols.get(li), cfg)
+            rel[li] = _conv_rule(w, a_in, r_out, boundaries[li + 1], conv_cols[li], cfg)
         elif isinstance(spec, ReLU):
             rel[li] = np.where(boundaries[li + 1] > 0, r_out, 0.0)
         elif isinstance(spec, MaxPool):
-            rel[li] = _pool_winner_scatter(
-                a_in, spec.kernel, spec.stride, r_out, arg=pool_args.get(li)
-            )
+            rel[li] = _pool_winner_scatter(a_in, r_out, pool_args[li])
         else:  # Flatten; Network rejects any other kind
             rel[li] = r_out.reshape(a_in.shape)
     return rel, targets

@@ -10,13 +10,15 @@ Forward and relevance kernels are batch-invariant: a sample's bits do not
 depend on the batch it is in, so the audit reuses a batched result that a
 single-sample re-audit recomputes. Their GEMMs run per sample (stacked matmul).
 
-Every conv patch operation goes through one cached per-sample patch index:
-im2col is one gather and col2im one bincount, which adds each pixel's
-contributions in kernel-offset order from +0.0, as a per-offset loop would.
+The engine builds one geometry, the reference network's: k x k convolutions
+at stride 1 with no padding, and 2 x 2 max-pools at stride 2. Every conv patch
+operation goes through one cached per-sample patch index: im2col is one
+gather and col2im one bincount, which adds each pixel's contributions in
+kernel-offset order from +0.0, as a per-offset loop would.
 
 Backpropagation stops at the lowest parameterized layer, since nothing reads
-the input's gradient, and a ReLU under disjoint max-pool windows is gated at
-pooled size; both leave every gradient bit as the full per-layer pass has it.
+the input's gradient, and a ReLU under a max-pool is gated at pooled size;
+both leave every gradient bit as the full per-layer pass has it.
 """
 
 from __future__ import annotations
@@ -24,10 +26,9 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
-from typing import Union
+from typing import ClassVar, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .seeding import stream
 
@@ -44,11 +45,13 @@ class Dense:
 
 @dataclass(frozen=True)
 class Conv2D:
+    """k x k convolution at stride 1 with no padding; `kernel` is k."""
+
     in_channels: int
     out_channels: int
     kernel: int
-    stride: int = 1
-    padding: int = 0
+    stride: ClassVar[int] = 1
+    padding: ClassVar[int] = 0
 
 
 @dataclass(frozen=True)
@@ -58,8 +61,10 @@ class ReLU:
 
 @dataclass(frozen=True)
 class MaxPool:
-    kernel: int
-    stride: int
+    """2 x 2 max-pool at stride 2; an odd last row or column is dropped."""
+
+    kernel: ClassVar[int] = 2
+    stride: ClassVar[int] = 2
 
 
 @dataclass(frozen=True)
@@ -94,9 +99,6 @@ class LayeredParams:
 
     def shapes(self) -> list[tuple[tuple, tuple]]:
         return [(w.shape, b.shape) for w, b in self.layers]
-
-    def param_count(self) -> int:
-        return sum(w.size + b.size for w, b in self.layers)
 
 
 def make_params(pairs) -> LayeredParams:
@@ -155,18 +157,17 @@ def _infer_shape(spec, shape, index):
                 f"layer {index}: Conv2D expects ({spec.in_channels}, H, W), got {shape}"
             )
         _, h, w = shape
-        k, s, p = spec.kernel, spec.stride, spec.padding
-        if h + 2 * p < k or w + 2 * p < k:
-            raise ShapeError(f"layer {index}: kernel {k} exceeds padded input {shape}")
-        return (spec.out_channels, (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1)
+        k = spec.kernel
+        if h < k or w < k:
+            raise ShapeError(f"layer {index}: kernel {k} exceeds input {shape}")
+        return (spec.out_channels, h - k + 1, w - k + 1)
     if isinstance(spec, MaxPool):
         if len(shape) != 3:
             raise ShapeError(f"layer {index}: MaxPool expects (C, H, W), got {shape}")
         c, h, w = shape
-        k, s = spec.kernel, spec.stride
-        if h < k or w < k:
-            raise ShapeError(f"layer {index}: pool window {k} exceeds input {shape}")
-        return (c, (h - k) // s + 1, (w - k) // s + 1)
+        if h < 2 or w < 2:
+            raise ShapeError(f"layer {index}: pool window 2 exceeds input {shape}")
+        return (c, h // 2, w // 2)
     if isinstance(spec, Flatten):
         return (int(np.prod(shape)),)
     if isinstance(spec, ReLU):
@@ -203,112 +204,95 @@ def _dense(x, w):
 
 
 @functools.lru_cache(maxsize=64)
-def _patch_index(c, h, w, kernel, stride):
+def _patch_index(c, h, w, kernel):
     """Read-only flat offset of every patch entry (c, u, v, i, j) within one
     sample's (c, h, w) plane stack, shaped (c*k*k, ho*wo) in C order.
 
     Cached per sample shape, never per batch: a batch-sized index for a
     2,000-sample pass would hold ~100 MB for the life of the process."""
-    ho = (h - kernel) // stride + 1
-    wo = (w - kernel) // stride + 1
+    ho = h - kernel + 1
+    wo = w - kernel + 1
     k = np.arange(kernel)
     idx = (
         (np.arange(c) * (h * w))[:, None, None, None, None]
         + (k * w)[:, None, None, None]
         + k[:, None, None]
-        + (np.arange(ho) * (stride * w))[:, None]
-        + np.arange(wo) * stride
+        + (np.arange(ho) * w)[:, None]
+        + np.arange(wo)
     ).reshape(c * kernel * kernel, ho * wo)
     idx.flags.writeable = False
     return idx
 
 
-def _conv_cols(x, kernel, stride, padding):
+def _conv_cols(x, kernel):
     # x (B, C, H, W) -> per-sample patches (B, C*k*k, Ho*Wo), so that every
     # conv GEMM is one stacked matmul over samples and a sample's bits do not
     # depend on its batch; one gather through the cached patch index
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     b, c, h, w = x.shape
-    cols = np.take(x.reshape(b, -1), _patch_index(c, h, w, kernel, stride), axis=1)
-    return cols, (h - kernel) // stride + 1, (w - kernel) // stride + 1
+    cols = np.take(x.reshape(b, -1), _patch_index(c, h, w, kernel), axis=1)
+    return cols, h - kernel + 1, w - kernel + 1
 
 
-def _conv_forward_cols(x, w, bias, stride, padding):
+def _conv_forward_cols(x, w, bias):
     co = w.shape[0]
-    cols, ho, wo = _conv_cols(x, w.shape[2], stride, padding)
+    cols, ho, wo = _conv_cols(x, w.shape[2])
     out = np.matmul(w.reshape(co, -1), cols).reshape(x.shape[0], co, ho, wo)
     out += bias[:, None, None]
     return out, cols
 
 
-def _col2im_add(dcols, in_shape, kernel, stride, padding):
+def _col2im_add(dcols, in_shape, kernel):
     # inverse of _conv_cols: one bincount through the patch index. It adds each
     # pixel's contributions in kernel-offset (u, v) order starting from +0.0,
     # as a loop of per-offset adds into zeros would, so -0.0 sums stay +0.0
     b = dcols.shape[0]
     c, h, w = in_shape
-    hp, wp = h + 2 * padding, w + 2 * padding
-    idx = _patch_index(c, hp, wp, kernel, stride)
-    plane = c * hp * wp
-    flat = (np.arange(b) * plane)[:, None, None] + idx
+    plane = c * h * w
+    flat = (np.arange(b) * plane)[:, None, None] + _patch_index(c, h, w, kernel)
     buf = np.bincount(flat.ravel(), weights=dcols.ravel(), minlength=b * plane)
-    return buf.reshape(b, c, hp, wp)[:, :, padding : padding + h, padding : padding + w]
+    return buf.reshape(b, c, h, w)
 
 
-def _conv_input_grad(dout, w, in_shape, stride, padding):
+def _conv_input_grad(dout, w, in_shape):
     b, co, ho, wo = dout.shape
     dcols = np.matmul(w.reshape(co, -1).T, dout.reshape(b, co, ho * wo))  # (B, C*k*k, Ho*Wo)
-    return _col2im_add(dcols, in_shape, w.shape[2], stride, padding)
+    return _col2im_add(dcols, in_shape, w.shape[2])
 
 
-def _pool_windows(x, kernel, stride):
-    win = sliding_window_view(x, (kernel, kernel), axis=(2, 3))[:, :, ::stride, ::stride]
-    b, c, ho, wo, _, _ = win.shape
-    return win.reshape(b, c, ho, wo, kernel * kernel), ho, wo
-
-
-def _pool_quadrants(x, ho, wo):
-    xc = x[:, :, : 2 * ho, : 2 * wo]
+def _pool_quadrants(x):
+    # the four corners of every 2 x 2 window; an odd last row or column is in none
+    h, w = x.shape[2] // 2 * 2, x.shape[3] // 2 * 2
+    xc = x[:, :, :h, :w]
     return xc[:, :, 0::2, 0::2], xc[:, :, 0::2, 1::2], xc[:, :, 1::2, 0::2], xc[:, :, 1::2, 1::2]
 
 
-def _pool_max_arg(x, kernel, stride):
+def _pool_forward(x):
+    q00, q01, q10, q11 = _pool_quadrants(x)
+    return np.maximum(np.maximum(q00, q01), np.maximum(q10, q11))
+
+
+def _pool_max_arg(x):
     """(max, first-row-major argmax) per window."""
-    b, c, h, w = x.shape
-    if kernel == 2 and stride == 2:
-        q00, q01, q10, q11 = _pool_quadrants(x, h // 2, w // 2)
-        out = np.maximum(np.maximum(q00, q01), np.maximum(q10, q11))
-        # 0 if q00 wins, else 1 if q01 does, else 2 if q10 does, else 3
-        arg = (q00 != out) * (1 + (q01 != out) * (1 + (q10 != out)))
-        return out, arg
-    flat_win, _, _ = _pool_windows(x, kernel, stride)
-    return flat_win.max(-1), flat_win.argmax(-1)
+    out = _pool_forward(x)
+    q00, q01, q10, _ = _pool_quadrants(x)
+    # 0 if q00 wins, else 1 if q01 does, else 2 if q10 does, else 3
+    arg = (q00 != out) * (1 + (q01 != out) * (1 + (q10 != out)))
+    return out, arg
 
 
-def _pool_forward(x, kernel, stride):
-    if kernel == 2 and stride == 2:
-        q00, q01, q10, q11 = _pool_quadrants(x, x.shape[2] // 2, x.shape[3] // 2)
-        return np.maximum(np.maximum(q00, q01), np.maximum(q10, q11))
-    flat_win, _, _ = _pool_windows(x, kernel, stride)
-    return flat_win.max(-1)
-
-
-def _pool_winner_scatter(x, kernel, stride, values, arg):
+def _pool_winner_scatter(x, values, arg):
     """Scatter per-window `values` onto each window's first row-major maximum,
-    `arg` as `_pool_max_arg` returns it."""
+    `arg` as `_pool_max_arg` returns it. Windows are disjoint, so no two
+    winners share a pixel."""
     b, c, h, w = x.shape
     ho, wo = arg.shape[2], arg.shape[3]
     # flat index of each winner: its offset in the window, plus the window's
     # corner in its plane, plus the plane's start
-    idx = ((np.arange(kernel) * w)[:, None] + np.arange(kernel)).ravel()[arg]
+    idx = np.array([0, 1, w, w + 1])[arg]
     idx += (np.arange(b * c) * (h * w)).reshape(b, c, 1, 1)
-    idx += (np.arange(ho) * (stride * w))[:, None] + np.arange(wo) * stride
+    idx += (np.arange(ho) * (2 * w))[:, None] + np.arange(wo) * 2
     out = np.zeros(b * c * h * w)
-    if stride >= kernel:
-        out[idx] = values  # disjoint windows: unique winners
-    else:
-        np.add.at(out, idx, values)  # shared winners accumulate in C order over windows
+    out[idx] = values
     return out.reshape(b, c, h, w)
 
 
@@ -324,12 +308,12 @@ def _layer_backward(spec, params, x, dout, cols=None, pool_arg=None, input_grad=
         b, co = dout.shape[:2]
         dw = np.matmul(dout.reshape(b, co, -1), cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
         db = dout.sum(axis=(0, 2, 3))
-        dx = _conv_input_grad(dout, w, x.shape[1:], spec.stride, spec.padding) if input_grad else None
+        dx = _conv_input_grad(dout, w, x.shape[1:]) if input_grad else None
         return dx, dw, db
     if isinstance(spec, ReLU):
         return dout * (x > 0), None, None
     if isinstance(spec, MaxPool):
-        return _pool_winner_scatter(x, spec.kernel, spec.stride, dout, arg=pool_arg), None, None
+        return _pool_winner_scatter(x, dout, pool_arg), None, None
     return dout.reshape(x.shape), None, None  # Flatten; Network rejects any other kind
 
 
@@ -367,7 +351,7 @@ def forward_collect(net: Network, params: LayeredParams, inputs: np.ndarray, kee
         if isinstance(spec, Conv2D):
             w, b = params.layers[pi]
             pi += 1
-            x, cols = _conv_forward_cols(x, w, b, spec.stride, spec.padding)
+            x, cols = _conv_forward_cols(x, w, b)
             if keep:
                 conv_cols[li] = cols
         elif isinstance(spec, Dense):
@@ -378,9 +362,9 @@ def forward_collect(net: Network, params: LayeredParams, inputs: np.ndarray, kee
             x = np.maximum(x, 0.0)
         elif isinstance(spec, MaxPool):
             if keep:
-                x, pool_args[li] = _pool_max_arg(x, spec.kernel, spec.stride)
+                x, pool_args[li] = _pool_max_arg(x)
             else:
-                x = _pool_forward(x, spec.kernel, spec.stride)
+                x = _pool_forward(x)
         else:  # Flatten; Network rejects any other kind
             x = x.reshape(x.shape[0], -1)
         boundaries.append(x)
@@ -391,12 +375,6 @@ def forward_batch(net: Network, params: LayeredParams, inputs: np.ndarray) -> li
     """All boundary activations for a batch; boundaries[0] is the input,
     boundaries[-1] the logits."""
     return forward_collect(net, params, inputs, keep=False)[0]
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def loss_and_grad(net: Network, params: LayeredParams, batch) -> tuple[float, LayeredParams]:
@@ -437,11 +415,11 @@ def loss_and_grad(net: Network, params: LayeredParams, batch) -> tuple[float, La
                 input_grad=li > lowest,
             )
             grads[pi] = (dw, db)
-        elif isinstance(spec, MaxPool) and spec.stride >= spec.kernel and isinstance(net.specs[li - 1], ReLU):
-            # a ReLU under disjoint pool windows: gate by the pooled output, which
-            # is the winner's activation, and skip the ReLU's full-size pass
+        elif isinstance(spec, MaxPool) and isinstance(net.specs[li - 1], ReLU):
+            # a ReLU under a pool: gate by the pooled output, which is the
+            # winner's activation, and skip the ReLU's full-size pass
             gated = dout * (boundaries[li + 1] > 0)
-            dout = _pool_winner_scatter(boundaries[li], spec.kernel, spec.stride, gated, pool_args[li])
+            dout = _pool_winner_scatter(boundaries[li], gated, pool_args[li])
             li -= 1
         else:
             dout, _, _ = _layer_backward(
@@ -469,12 +447,6 @@ def flatten_layer_params(params: LayeredParams, layer: int) -> np.ndarray:
         raise IndexError(f"layer {layer} out of range [0, {len(params)})")
     w, b = params.layers[layer]
     return np.concatenate([w.ravel(), b.ravel()])
-
-
-def unflatten_layer_params(flat: np.ndarray, w_shape, b_shape) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of flatten_layer_params for one layer."""
-    wn = int(np.prod(w_shape))
-    return flat[:wn].reshape(w_shape), flat[wn : wn + int(np.prod(b_shape))].reshape(b_shape)
 
 
 # ---------------------------------------------------------------------------
@@ -505,14 +477,16 @@ def params_from_bytes(raw: bytes) -> LayeredParams:
         header = json.loads(head)
         if header["format"] != "fedliab-params":
             raise ValueError(f"format {header['format']!r}")
-        shapes = [(tuple(e["weights"]), tuple(e["biases"])) for e in header["layers"]]
-        sizes = [int(np.prod(ws)) + int(np.prod(bs)) for ws, bs in shapes]
+        # weights, then biases, of each layer in turn
+        shapes = [tuple(e[key]) for e in header["layers"] for key in ("weights", "biases")]
+        sizes = [int(np.prod(s)) for s in shapes]
     except (ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"not a fedliab-params header: {exc}") from None
     if not newline or len(payload) != 8 * sum(sizes):
         raise ValueError(f"params payload is {len(payload)} bytes, header declares {8 * sum(sizes)}")
-    chunks = np.split(np.frombuffer(payload, dtype="<f8").astype(np.float64), np.cumsum(sizes)[:-1])
-    return make_params(unflatten_layer_params(c, ws, bs) for c, (ws, bs) in zip(chunks, shapes))
+    blocks = np.split(np.frombuffer(payload, dtype="<f8").astype(np.float64), np.cumsum(sizes)[:-1])
+    arrays = [block.reshape(s) for block, s in zip(blocks, shapes)]
+    return make_params(zip(arrays[0::2], arrays[1::2]))
 
 
 def save_params(params: LayeredParams, path):
@@ -531,10 +505,10 @@ def reference_network(class_count: int = 10, image_size: int = 28) -> list[Layer
     return [
         Conv2D(1, 8, kernel=3),
         ReLU(),
-        MaxPool(2, 2),
+        MaxPool(),
         Conv2D(8, 16, kernel=3),
         ReLU(),
-        MaxPool(2, 2),
+        MaxPool(),
         Flatten(),
         Dense(16 * pooled * pooled, 64),
         ReLU(),

@@ -38,7 +38,7 @@ def random_conv_net(seed, image=9, channels=1, bias_scale=0.3):
     specs.append(ReLU())
     side = image - 2
     if rng.random() < 0.6 and side >= 6:
-        specs.append(MaxPool(2, 2))
+        specs.append(MaxPool())
         side //= 2
     c_out = specs[0].out_channels
     if rng.random() < 0.5 and side >= 5:

@@ -73,6 +73,21 @@ class TestRun:
         assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
         assert "runtime error" in capsys.readouterr().err
 
+    def test_idx_images_of_another_size_are_a_config_error(self, tmp_path, capsys):
+        for split, per_class in (("train", 80), ("test", 25)):
+            ds = synth_generate(6, per_class, seed=3, image_size=16)
+            write_idx(ds, tmp_path / f"{split}-images", tmp_path / f"{split}-labels")
+        paths = "".join(
+            f"idx_{split}_{kind} = {tmp_path / f'{split}-{kind}'}\n"
+            for split in ("train", "test")
+            for kind in ("images", "labels")
+        )
+        bad = tmp_path / "sized.cfg"
+        bad.write_text(CONFIG_TEXT + "dataset = idx\n" + paths)
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "train-images: images are 16x16, but image_size = 12" in err
+
     def test_partition_larger_than_synthetic_corpus_is_config_error(self, tmp_path, capsys):
         bad = tmp_path / "big.cfg"
         bad.write_text(CONFIG_TEXT.replace("per_node_size = 60", "per_node_size = 400"))
@@ -103,8 +118,10 @@ class TestOverheadCommand:
 
 @pytest.mark.parametrize("line", ["lr = -1", "rounds = 0", "lrp_epsilon = nan"])
 def test_bad_setting_exits_1_before_training(tmp_path, capsys, line):
+    key = line.split()[0]
+    kept = [row for row in CONFIG_TEXT.splitlines() if row.split(" ")[0] != key]  # a key may appear once
     bad = tmp_path / "bad.cfg"
-    bad.write_text(CONFIG_TEXT + line + "\n")
+    bad.write_text("\n".join(kept + [line]) + "\n")
     assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
     assert line.split()[0] in capsys.readouterr().err
     assert not (tmp_path / "o").exists()

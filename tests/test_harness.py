@@ -1,11 +1,12 @@
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fedliab import data, harness
+from fedliab.audit import DistanceTensor, save_distance_tensor
 from fedliab.flsim import model_inputs
 from fedliab.harness import (
     ConfigError,
@@ -68,6 +69,16 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config key"):
             parse_config_text("nodes = 4\nbogus = 1\n")
+
+    def test_repeated_key_names_both_lines(self):
+        with pytest.raises(ConfigError, match="'nodes' repeated on lines 1 and 3"):
+            parse_config_text("nodes = 4\nlr = 0.1\nnodes = 6\n")
+
+    def test_repeated_json_key_rejected(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text('{"nodes": 4, "nodes": 6}')
+        with pytest.raises(ConfigError, match="'nodes' repeated"):
+            load_config(path)
 
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError, match="bad value"):
@@ -290,6 +301,19 @@ class TestExport:
         with pytest.raises(RuntimeError, match="sample id"):
             audit_run_dir(out, 10**6)
 
+    def test_audit_rejects_a_log_of_another_shape(self, exported, tmp_path):
+        out, result = exported
+        run = tmp_path / "run"
+        run.mkdir()
+        for name in ("manifest.json", "model.bin"):
+            (run / name).write_bytes((out / name).read_bytes())
+        cfg = result.config
+        wider = DistanceTensor(np.zeros((cfg.rounds, cfg.nodes + 2, 4)))
+        save_distance_tensor(wider, run / "distances.bin")
+        want = f"\\({cfg.rounds}, {cfg.nodes + 2}, 4\\).*\\({cfg.rounds}, {cfg.nodes}, 4\\)"
+        with pytest.raises(ValueError, match=f"distances.bin: .*{want}"):
+            audit_run_dir(run, result.audit_phase.audit.sample_id)
+
 
 class TestLoadTestSample:
     def test_synthetic_matches_full_test_set(self):
@@ -325,6 +349,8 @@ class TestLoadTestSample:
             assert label == ds.labels[sample_id]
         with pytest.raises(RuntimeError, match="sample id"):
             load_test_sample(cfg, 12)
+        with pytest.raises(ConfigError, match="test-images: images are 10x10, but image_size = 12"):
+            load_test_sample(replace(cfg, image_size=12), 0)
 
     def test_audit_generates_one_test_class(self, exported, monkeypatch):
         out, result = exported

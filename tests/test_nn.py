@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from fedliab.nn import (
     Conv2D,
@@ -17,8 +18,6 @@ from fedliab.nn import (
     params_to_bytes,
     reference_network,
     sgd_step,
-    softmax,
-    unflatten_layer_params,
 )
 from fedliab import nn
 from fedliab.lrp import lrp_propagate
@@ -88,6 +87,40 @@ class TestBuildNetwork:
     def test_conv_kernel_too_large(self):
         with pytest.raises(ShapeError, match="layer 0"):
             build_network([Conv2D(1, 2, kernel=5), Flatten(), Dense(2, 2)], (1, 4, 4), seed=0)
+
+    def test_pool_window_too_large(self):
+        with pytest.raises(ShapeError, match="layer 1"):
+            build_network([Conv2D(1, 2, kernel=3), MaxPool(), Flatten(), Dense(2, 2)], (1, 3, 5), seed=0)
+
+
+class TestOneGeometry:
+    """Convolutions run at stride 1 with no padding and pools over 2x2 windows
+    at stride 2; the specs expose that as class constants and take no other."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Conv2D(1, 2, kernel=3, stride=2),
+            lambda: Conv2D(1, 2, kernel=3, padding=1),
+            lambda: MaxPool(3, 2),
+        ],
+        ids=["conv-stride", "conv-padding", "pool-size"],
+    )
+    def test_other_geometry_is_rejected(self, build):
+        with pytest.raises(TypeError):
+            build()
+
+    def test_constants(self):
+        assert (Conv2D.stride, Conv2D.padding) == (1, 0)
+        assert (Conv2D(1, 2, kernel=3).stride, Conv2D(1, 2, kernel=3).padding) == (1, 0)
+        assert MaxPool.kernel == MaxPool.stride == 2
+        assert MaxPool().kernel == MaxPool().stride == 2
+
+    def test_odd_pool_input_drops_last_row_and_column(self):
+        net, params = build_network([MaxPool(), Flatten(), Dense(2 * 3 * 4, 2)], (2, 7, 9), seed=0)
+        assert net.boundary_shapes[1] == (2, 3, 4)
+        x = np.random.default_rng(0).standard_normal((3, 2, 7, 9))
+        assert forward_batch(net, params, x)[1].tobytes() == window_max_arg(x)[0].tobytes()
 
 
 class TestForward:
@@ -167,21 +200,10 @@ class TestLossAndGrad:
         numeric = fd_gradients(net, params, (xs, ys))
         assert max_relative_error(analytic, numeric) <= 1e-4
 
-    def test_finite_difference_overlapping_pool(self):
-        # stride < kernel exercises the general pooling scatter path
-        specs = [Conv2D(1, 3, kernel=3), ReLU(), MaxPool(3, 2), Flatten(), Dense(12, 3)]
-        net, params = build_network(specs, (1, 7, 7), seed=21)
-        rng = np.random.default_rng(21)
-        xs = rng.uniform(0.05, 1, size=(3, 1, 7, 7))
-        ys = rng.integers(0, 3, size=3)
-        _, analytic = loss_and_grad(net, params, (xs, ys))
-        numeric = fd_gradients(net, params, (xs, ys))
-        assert max_relative_error(analytic, numeric) <= 1e-4
-
     @pytest.mark.parametrize("seed", range(6))
     def test_finite_difference_mixed(self, seed):
         net, params, x = random_mixed_net(seed)
-        if params.param_count() > 900:
+        if sum(w.size + b.size for w, b in params) > 900:
             pytest.skip("kept small for runtime")
         rng = np.random.default_rng(seed + 100)
         xs = rng.uniform(0.05, 1, size=(3,) + net.input_shape)
@@ -197,19 +219,24 @@ class TestLossAndGrad:
 # ---------------------------------------------------------------------------
 
 
-def three_index_scatter(x, kernel, stride, values, arg):
+def window_max_arg(x):
+    """Max and first row-major argmax of every 2x2 window at stride 2, by
+    sliding windows; an odd last row or column is in no window."""
+    win = sliding_window_view(x, (2, 2), axis=(2, 3))[:, :, ::2, ::2]
+    flat = win.reshape(win.shape[:4] + (4,))
+    return flat.max(-1), flat.argmax(-1)
+
+
+def three_index_scatter(x, values, arg):
     """Winner scatter with one broadcast index array per axis."""
     b, c, h, w = x.shape
     ho, wo = arg.shape[2], arg.shape[3]
-    rows = (np.arange(ho) * stride)[None, None, :, None] + arg // kernel
-    cols = (np.arange(wo) * stride)[None, None, None, :] + arg % kernel
+    rows = (np.arange(ho) * 2)[None, None, :, None] + arg // 2
+    cols = (np.arange(wo) * 2)[None, None, None, :] + arg % 2
     out = np.zeros((b, c, h * w))
     bidx = np.arange(b)[:, None, None, None]
     cidx = np.arange(c)[None, :, None, None]
-    if stride >= kernel:
-        out[bidx, cidx, rows * w + cols] = values
-    else:
-        np.add.at(out, (bidx, cidx, rows * w + cols), values)
+    out[bidx, cidx, rows * w + cols] = values
     return out.reshape(b, c, h, w)
 
 
@@ -220,7 +247,8 @@ def layer_by_layer_backward(net, params, inputs, labels):
     gradient at its input."""
     boundaries, conv_cols, _ = nn.forward_collect(net, params, inputs)
     n = len(labels)
-    d = softmax(boundaries[-1])
+    e = np.exp(boundaries[-1] - boundaries[-1].max(axis=1, keepdims=True))
+    d = e / e.sum(axis=1, keepdims=True)
     d[np.arange(n), labels] -= 1.0
     d /= n
     grads = [None] * len(params)
@@ -239,12 +267,11 @@ def layer_by_layer_backward(net, params, inputs, labels):
             b, co = d.shape[:2]
             dw = np.matmul(d.reshape(b, co, -1), conv_cols[li].transpose(0, 2, 1)).sum(axis=0)
             grads[pi] = (dw.reshape(w.shape), d.sum(axis=(0, 2, 3)))
-            d = nn._conv_input_grad(d, w, x.shape[1:], spec.stride, spec.padding)
+            d = nn._conv_input_grad(d, w, x.shape[1:])
         elif isinstance(spec, ReLU):
             d = gated[li] = d * (x > 0)
         elif isinstance(spec, MaxPool):
-            win, _, _ = nn._pool_windows(x, spec.kernel, spec.stride)
-            d = three_index_scatter(x, spec.kernel, spec.stride, d, win.argmax(-1))
+            d = three_index_scatter(x, d, window_max_arg(x)[1])
         else:
             d = d.reshape(x.shape)
     return grads, gated
@@ -264,21 +291,21 @@ class TestPoolKernels:
     @pytest.mark.parametrize("shape", [(2, 3, 6, 6), (3, 2, 7, 9), (1, 1, 5, 2)])
     def test_max_arg_is_first_row_major_argmax(self, kind, shape):
         x = _tied_inputs(shape, kind, seed=sum(shape))
-        win, _, _ = nn._pool_windows(x, 2, 2)
-        out, arg = nn._pool_max_arg(x, 2, 2)
-        assert arg.tobytes() == win.argmax(-1).tobytes()
-        assert out.tobytes() == win.max(-1).tobytes()
+        want_out, want_arg = window_max_arg(x)
+        out, arg = nn._pool_max_arg(x)
+        assert arg.tobytes() == want_arg.tobytes()
+        assert out.tobytes() == want_out.tobytes()
+        assert nn._pool_forward(x).tobytes() == want_out.tobytes()
 
-    @pytest.mark.parametrize("kernel, stride", [(2, 2), (3, 3), (2, 3), (3, 2), (2, 1)])
-    @pytest.mark.parametrize("shape", [(2, 3, 8, 8), (3, 2, 9, 7)])
-    def test_winner_scatter_matches_three_index_scatter(self, kernel, stride, shape):
-        rng = np.random.default_rng(kernel * 10 + stride)
-        x = _tied_inputs(shape, "quantized", seed=stride)
-        _, arg = nn._pool_max_arg(x, kernel, stride)
+    @pytest.mark.parametrize("shape", [(2, 3, 8, 8), (3, 2, 9, 7), (3, 2, 7, 9)])
+    def test_winner_scatter_matches_three_index_scatter(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        x = _tied_inputs(shape, "quantized", seed=shape[2])
+        _, arg = window_max_arg(x)
         values = rng.standard_normal(arg.shape)
         values[rng.random(arg.shape) < 0.3] = -0.0
-        got = nn._pool_winner_scatter(x, kernel, stride, values, arg)
-        assert got.tobytes() == three_index_scatter(x, kernel, stride, values, arg).tobytes()
+        got = nn._pool_winner_scatter(x, values, arg)
+        assert got.tobytes() == three_index_scatter(x, values, arg).tobytes()
 
 
 def _grad_identity_net(name):
@@ -287,19 +314,14 @@ def _grad_identity_net(name):
         return net, params
     if name.startswith("reference"):
         size = int(name[9:])
-        return build_network(reference_network(6 if size == 28 else 10, size), (1, size, size), seed=size)
-    # a ReLU under overlapping windows: the gate stays at full size
-    kernel, stride = (3, 2) if name == "overlap-3-2" else (2, 1)
-    side = (5 - kernel) // stride + 1
-    specs = [Conv2D(1, 4, kernel=3), ReLU(), MaxPool(kernel, stride), Flatten(), Dense(4 * side * side, 3)]
-    return build_network(specs, (1, 7, 7), seed=7)
+    return build_network(reference_network(6 if size == 28 else 10, size), (1, size, size), seed=size)
 
 
 class TestGradientBitIdentity:
     @pytest.mark.parametrize("batch", [1, 7, 50])
     @pytest.mark.parametrize(
         "name",
-        [f"netgen{s}" for s in range(8)] + ["reference20", "reference28", "overlap-3-2", "overlap-2-1"],
+        [f"netgen{s}" for s in range(8)] + ["reference20", "reference28"],
     )
     def test_matches_layer_by_layer_backward(self, name, batch, monkeypatch):
         net, params = _grad_identity_net(name)
@@ -320,7 +342,7 @@ class TestGradientBitIdentity:
             assert gw.tobytes() == ww.tobytes()
             assert gb.tobytes() == wb.tobytes()
         # a pool scatter feeding a ReLU, gated once more, is that ReLU's input
-        # gradient: a gate applied early under overlapping windows loses -0.0
+        # gradient
         boundaries = forward_batch(net, params, xs)
         pools = [li for li in range(len(net.specs) - 1, 0, -1) if isinstance(net.specs[li], MaxPool)]
         assert len(scattered) == len(pools)
@@ -329,34 +351,26 @@ class TestGradientBitIdentity:
                 assert (out * (boundaries[li - 1] > 0)).tobytes() == gated[li - 1].tobytes()
 
 
-def loop_conv_cols(x, kernel, stride, padding):
-    """im2col as one strided copy per kernel offset."""
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+def loop_conv_cols(x, kernel):
+    """im2col as one shifted copy per kernel offset."""
     b, c, h, w = x.shape
-    ho = (h - kernel) // stride + 1
-    wo = (w - kernel) // stride + 1
-    he = (ho - 1) * stride + 1
-    we = (wo - 1) * stride + 1
+    ho, wo = h - kernel + 1, w - kernel + 1
     cols = np.empty((b, c, kernel, kernel, ho, wo))
     for u in range(kernel):
         for v in range(kernel):
-            cols[:, :, u, v] = x[:, :, u : u + he : stride, v : v + we : stride]
+            cols[:, :, u, v] = x[:, :, u : u + ho, v : v + wo]
     return cols.reshape(b, c * kernel * kernel, ho * wo), ho, wo
 
 
-def loop_col2im_add(dcols, in_shape, kernel, stride, padding, ho, wo):
-    """col2im as one strided add per kernel offset, into zeros."""
+def loop_col2im_add(dcols, in_shape, kernel, ho, wo):
+    """col2im as one shifted add per kernel offset, into zeros."""
     b = dcols.shape[0]
-    c, h, w = in_shape
-    buf = np.zeros((b, c, h + 2 * padding, w + 2 * padding))
-    d = dcols.reshape(b, c, kernel, kernel, ho, wo)
-    he = (ho - 1) * stride + 1
-    we = (wo - 1) * stride + 1
+    buf = np.zeros((b,) + tuple(in_shape))
+    d = dcols.reshape(b, in_shape[0], kernel, kernel, ho, wo)
     for u in range(kernel):
         for v in range(kernel):
-            buf[:, :, u : u + he : stride, v : v + we : stride] += d[:, :, u, v]
-    return buf[:, :, padding : padding + h, padding : padding + w]
+            buf[:, :, u : u + ho, v : v + wo] += d[:, :, u, v]
+    return buf
 
 
 def _with_signed_zeros(a, rng):
@@ -366,14 +380,8 @@ def _with_signed_zeros(a, rng):
 
 
 def _conv_kernel_net(name):
-    if name == "stride2-pad1":
-        specs = [Conv2D(2, 3, kernel=3, stride=2, padding=1), ReLU(), Flatten(), Dense(3 * 5 * 5, 4)]
-        return build_network(specs, (2, 9, 9), seed=3)
-    if name == "k4-s3-p2":
-        specs = [
-            Conv2D(2, 3, kernel=4, stride=3, padding=2), ReLU(),
-            Conv2D(3, 2, kernel=4, stride=3, padding=2), Flatten(), Dense(2 * 2 * 2, 4),
-        ]
+    if name == "k4":
+        specs = [Conv2D(2, 3, kernel=4), ReLU(), Conv2D(3, 2, kernel=4), Flatten(), Dense(2 * 5 * 5, 4)]
         return build_network(specs, (2, 11, 11), seed=4)
     return _grad_identity_net(name)
 
@@ -384,7 +392,7 @@ class TestConvKernels:
 
     @pytest.mark.parametrize("batch", [1, 7, 50])
     @pytest.mark.parametrize(
-        "name", [f"netgen{s}" for s in range(8)] + ["reference20", "reference28", "stride2-pad1", "k4-s3-p2"]
+        "name", [f"netgen{s}" for s in range(8)] + ["reference20", "reference28", "k4"]
     )
     def test_matches_loop_reference(self, name, batch):
         net, params = _conv_kernel_net(name)
@@ -393,20 +401,20 @@ class TestConvKernels:
         assert convs
         for li, pi in convs:
             spec, in_shape = net.specs[li], net.boundary_shapes[li]
-            k, s, p = spec.kernel, spec.stride, spec.padding
+            k = spec.kernel
             x = _with_signed_zeros(rng.standard_normal((batch,) + in_shape), rng)
-            cols, ho, wo = nn._conv_cols(x, k, s, p)
-            want, wh, ww = loop_conv_cols(x, k, s, p)
+            cols, ho, wo = nn._conv_cols(x, k)
+            want, wh, ww = loop_conv_cols(x, k)
             assert (ho, wo) == (wh, ww)
             assert cols.tobytes() == want.tobytes()
             for dcols in (_with_signed_zeros(rng.standard_normal(cols.shape), rng), np.full(cols.shape, -0.0)):
-                got = nn._col2im_add(dcols, in_shape, k, s, p)
-                assert got.tobytes() == loop_col2im_add(dcols, in_shape, k, s, p, ho, wo).tobytes()
+                got = nn._col2im_add(dcols, in_shape, k)
+                assert got.tobytes() == loop_col2im_add(dcols, in_shape, k, ho, wo).tobytes()
             w, _ = params.layers[pi]
             dout = _with_signed_zeros(rng.standard_normal((batch, spec.out_channels, ho, wo)), rng)
             dcols = np.matmul(w.reshape(w.shape[0], -1).T, dout.reshape(batch, w.shape[0], -1))
-            want = loop_col2im_add(dcols, in_shape, k, s, p, ho, wo)
-            assert nn._conv_input_grad(dout, w, in_shape, s, p).tobytes() == want.tobytes()
+            want = loop_col2im_add(dcols, in_shape, k, ho, wo)
+            assert nn._conv_input_grad(dout, w, in_shape).tobytes() == want.tobytes()
 
 
 class TestSgd:
@@ -462,11 +470,13 @@ class TestFlatten:
         np.testing.assert_array_equal(flatten_layer_params(params, 0), [3.0, 4.0, 5.0])
 
     def test_round_trip(self):
+        # the serialized payload is the layers' flat vectors in order, and
+        # reading it back restores every layer's weights and biases
         net, params = build_network(reference_network(4, 12), (1, 12, 12), seed=9)
-        for i in range(len(params)):
-            w, b = params.layers[i]
-            flat = flatten_layer_params(params, i)
-            w2, b2 = unflatten_layer_params(flat, w.shape, b.shape)
+        raw = params_to_bytes(params)
+        flat = np.concatenate([flatten_layer_params(params, i) for i in range(len(params))])
+        assert raw.partition(b"\n")[2] == flat.astype("<f8").tobytes()
+        for (w, b), (w2, b2) in zip(params, params_from_bytes(raw)):
             np.testing.assert_array_equal(w, w2)
             np.testing.assert_array_equal(b, b2)
 
@@ -478,15 +488,6 @@ class TestFlatten:
         _, params = build_network([Dense(4, 3)], (4,), seed=0)
         with pytest.raises(IndexError):
             flatten_layer_params(params, 1)
-
-
-class TestSoftmax:
-    def test_probability_vector(self):
-        rng = np.random.default_rng(0)
-        z = rng.normal(scale=30, size=(200, 7))
-        p = softmax(z)
-        assert np.all(p >= 0)
-        np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
 
 
 class TestSerialization:

@@ -4,7 +4,9 @@
     fedliab audit    --run-dir DIR --sample-id K
     fedliab overhead --config FILE [--out DIR]
 
-Exit codes: 0 success, 1 configuration error, 2 runtime error.
+Exit codes: 0 success, 1 configuration error (a missing or invalid config
+file or setting), 2 runtime error (including a missing data file or run
+artifact).
 """
 
 from __future__ import annotations
@@ -97,7 +99,7 @@ def main(argv=None) -> int:
         if args.command == "audit":
             return _cmd_audit(args)
         return _cmd_overhead(args)
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ConfigError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary

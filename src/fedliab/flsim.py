@@ -79,19 +79,24 @@ def local_train(
     epoch: int,
 ) -> LayeredParams:
     """Mini-batch SGD passes over the node's data, starting from the global
-    model; batch order comes from a stream keyed on (seed, node, epoch)."""
+    model; batch order comes from a stream keyed on (seed, node, epoch).
+    A non-finite loss stops training, naming the round, node and step."""
     params = global_params
     if cfg.lr == 0:
         return params
     rng = stream(cfg.master_seed, "batches", node_id, epoch)
     inputs = model_inputs(net, dataset.images)
     labels = dataset.labels
+    step = 0
     for _ in range(cfg.local_passes):
         order = rng.permutation(len(labels))
         for start in range(0, len(labels), cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            _, grads = loss_and_grad(net, params, (inputs[idx], labels[idx]))
+            loss, grads = loss_and_grad(net, params, (inputs[idx], labels[idx]))
+            if not np.isfinite(loss):
+                raise FloatingPointError(f"round {epoch}, node {node_id}, step {step}: loss is {loss}")
             params = sgd_step(params, grads, cfg.lr)
+            step += 1
     return params
 
 
@@ -158,19 +163,29 @@ class EvalResult:
     per_class: np.ndarray
 
 
-def evaluate(net: Network, params: LayeredParams, ds: Dataset) -> EvalResult:
+def predict_logits(net: Network, params: LayeredParams, ds: Dataset) -> np.ndarray:
+    """Logits of every sample, EVAL_BATCH samples per forward pass, so that no
+    pass grows with the dataset; forward passes are batch-invariant, so the
+    bits are those of one whole-set pass."""
+    inputs = model_inputs(net, ds.images)
+    logits = np.empty((len(ds), net.class_count))
+    for start in range(0, len(ds), EVAL_BATCH):
+        logits[start : start + EVAL_BATCH] = forward_batch(net, params, inputs[start : start + EVAL_BATCH])[-1]
+    return logits
+
+
+def accuracy(ds: Dataset, logits: np.ndarray) -> EvalResult:
+    """Overall and per-class accuracy of the logits' argmax predictions."""
     if len(ds) == 0:
         raise ValueError("empty evaluation dataset")
-    inputs = model_inputs(net, ds.images)
-    correct = np.zeros(ds.class_count)
-    seen = np.zeros(ds.class_count)
-    for start in range(0, len(ds), EVAL_BATCH):
-        stop = start + EVAL_BATCH
-        logits = forward_batch(net, params, inputs[start:stop])[-1]
-        preds = np.argmax(logits, axis=1)
-        labels = ds.labels[start:stop]
-        np.add.at(seen, labels, 1)
-        np.add.at(correct, labels[preds == labels], 1)
+    preds = np.argmax(logits, axis=1)
+    seen = ds.class_histogram()
+    correct = np.bincount(ds.labels[preds == ds.labels], minlength=ds.class_count)
     with np.errstate(invalid="ignore"):
         per_class = np.where(seen > 0, correct / np.maximum(seen, 1), np.nan)
     return EvalResult(float(correct.sum() / len(ds)), per_class)
+
+
+def evaluate(net: Network, params: LayeredParams, ds: Dataset) -> EvalResult:
+    """Accuracy of the model on `ds`."""
+    return accuracy(ds, predict_logits(net, params, ds))

@@ -41,10 +41,12 @@ from .data import (
     synth_generate,
 )
 from .flsim import (
+    EVAL_BATCH,
     EvalResult,
     TrainConfig,
-    evaluate,
+    accuracy,
     model_inputs,
+    predict_logits,
     run_training,
 )
 from .lrp import (
@@ -226,7 +228,10 @@ def _unique_json_keys(pairs) -> dict:
 
 
 def load_config(path) -> ExperimentConfig:
-    raw = Path(path).read_text()
+    try:
+        raw = Path(path).read_text()
+    except FileNotFoundError:
+        raise ConfigError(f"no config file {path}") from None
     if str(path).endswith(".json"):
         return config_from_mapping(json.loads(raw, object_pairs_hook=_unique_json_keys))
     return parse_config_text(raw)
@@ -370,6 +375,7 @@ def select_audit_sample(
     net: Network,
     params: LayeredParams,
     test: Dataset,
+    logits: np.ndarray,
     tensor: DistanceTensor,
     audited_class: int,
     lrp_cfg: LrpConfig,
@@ -377,9 +383,11 @@ def select_audit_sample(
     """Pick the decision to investigate: the misclassified test sample of the
     audited class whose relevance-weighted distances single out a node most
     strongly; with no misclassification, the class's lowest-margin correct
-    sample. The audited neuron is always the model's predicted class."""
-    inputs = model_inputs(net, test.images)
-    logits = forward_batch(net, params, inputs)[-1]
+    sample. The audited neuron is always the model's predicted class.
+
+    `logits` are the model's test-set logits (`predict_logits`). Relevance
+    runs over the candidates EVAL_BATCH at a time; it is batch-invariant, so
+    the chunks change no bit."""
     preds = np.argmax(logits, axis=1)
     members = np.flatnonzero(test.labels == audited_class)
     if members.size == 0:
@@ -392,16 +400,18 @@ def select_audit_sample(
         margins = logits[members, audited_class] - logits[members][:, others].max(axis=1)
         candidates, rule = members[[int(np.argmin(margins))]], "lowest_margin"
 
-    rel, targets = lrp_propagate_batch(net, params, inputs[candidates], preds[candidates], lrp_cfg)
-    weight_rows = reduce_to_layer_vector_batch(rel, net)
+    inputs = model_inputs(net, test.images)
     best = None
-    for i, row in enumerate(weight_rows):
-        matrix = compute_radist(tensor, row)
-        suspicion = float(matrix.mean(axis=0).max() / max(matrix.mean(), 1e-18))
-        if best is None or suspicion > best[0]:
-            best = (suspicion, i, matrix)
-    _, i, matrix = best
-    return AuditSelection(int(candidates[i]), int(targets[i]), rule, weight_rows[i], matrix, rel[0][i])
+    for start in range(0, len(candidates), EVAL_BATCH):
+        chunk = candidates[start : start + EVAL_BATCH]
+        rel, targets = lrp_propagate_batch(net, params, inputs[chunk], preds[chunk], lrp_cfg)
+        weight_rows = reduce_to_layer_vector_batch(rel, net)
+        for i, row in enumerate(weight_rows):
+            matrix = compute_radist(tensor, row)
+            suspicion = float(matrix.mean(axis=0).max() / max(matrix.mean(), 1e-18))
+            if best is None or suspicion > best[0]:
+                best = (suspicion, AuditSelection(int(chunk[i]), int(targets[i]), rule, row, matrix, rel[0][i]))
+    return best[1]
 
 
 def run_phase(
@@ -426,9 +436,10 @@ def run_phase(
     elapsed = time.perf_counter() - start
 
     tensor = recorder.tensor()
-    eval_result = evaluate(net, result.final_params, test)
+    logits = predict_logits(net, result.final_params, test)
+    eval_result = accuracy(test, logits)
     selection = select_audit_sample(
-        net, result.final_params, test, tensor, cfg.attack_source, LrpConfig(epsilon=cfg.lrp_epsilon)
+        net, result.final_params, test, logits, tensor, cfg.attack_source, LrpConfig(epsilon=cfg.lrp_epsilon)
     )
     report = detect(selection.matrix, AuditConfig(cfg.alpha), sample_id=selection.sample_id)
     scores = {"radist": selection.matrix, "cosine": baseline_cosine_score(tensor)}
@@ -570,6 +581,9 @@ def audit_run_dir(run_dir, sample_id: int) -> dict:
     """Re-audit a finished run for one test sample: recompute its relevance
     against the stored model, contract the stored distance log, re-detect."""
     run = Path(run_dir)
+    for name in ("manifest.json", "model.bin", "distances.bin"):
+        if not (run / name).is_file():
+            raise RuntimeError(f"{run / name}: run artifact missing")
     cfg = load_config(run / "manifest.json")
     net, _ = build_model(cfg)
     params = load_params(run / "model.bin")

@@ -19,18 +19,49 @@ kernel-offset order from +0.0, as a per-offset loop would.
 Backpropagation stops at the lowest parameterized layer, since nothing reads
 the input's gradient, and a ReLU under a max-pool is gated at pooled size;
 both leave every gradient bit as the full per-layer pass has it.
+
+Importing the engine pins glibc's malloc thresholds for the whole process
+(mmap at 32 MiB, trim at 64 MiB), so kernel temporaries are reused from a
+warm heap instead of faulting in fresh pages on every call; off glibc it
+does nothing. docs/decisions.md gives the measurements.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import json
+import os
 from dataclasses import dataclass
 from typing import ClassVar, Union
 
 import numpy as np
 
 from .seeding import stream
+
+
+def _pin_malloc_thresholds() -> None:
+    """On glibc, fix the mmap threshold at its 64-bit ceiling (32 MiB) and the
+    trim threshold at 64 MiB. glibc starts both at 128 KiB and raises them
+    only after a large block is freed; until then every kernel temporary is a
+    fresh mmap that faults in page by page. Workspaces owned by the kernels
+    could not avoid this: the kernels return their boundaries, and a
+    workspace cannot hold what callers keep (docs/decisions.md)."""
+    try:
+        glibc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):  # no confstr, or not glibc
+        return
+    if not glibc:
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    m_trim_threshold, m_mmap_threshold = -1, -3  # <malloc.h>
+    mallopt(m_mmap_threshold, 32 << 20)
+    mallopt(m_trim_threshold, 64 << 20)
+
+
+_pin_malloc_thresholds()
 
 
 class ShapeError(ValueError):

@@ -209,6 +209,13 @@ def test_criterion_06_detection_end_to_end(detection_runs):
         f"[criterion 6] supplementary: attacker top per epoch in {radist_epochs}/{total_epochs} "
         f"epochs by RAdist vs {cosine_epochs}/{total_epochs} by cosine (reported, not asserted)"
     )
+    for run in detection_runs:
+        clean = run["clean"].audit
+        print(
+            f"[criterion 6] supplementary: clean seed {run['seed']} flags {list(clean.flagged)} at "
+            f"max/mean {clean.per_node_mean.max() / clean.global_mean:.2f} "
+            f"(alpha {clean.alpha}; reported, not asserted)"
+        )
 
     clause_a = radist_first >= 9
     clause_b = unique_flag >= 8
@@ -224,9 +231,10 @@ def test_criterion_06_detection_end_to_end(detection_runs):
         pytest.fail(
             "criterion 6 clause c: the per-node mean of every convex layer weighting "
             "(uniform cosine included) ranks the attacker first whenever RAdist does; "
-            f"measured tie {cosine_first}={radist_first}. See the decisions ledger: in any "
-            "regime satisfying clauses a/b and criterion 7, the attacker leads every "
-            "layer's mean distance, so the strict inequality cannot hold."
+            f"measured tie {cosine_first}={radist_first}. See the decisions ledger "
+            "(docs/decisions.md, entry 3): in any regime satisfying clauses a/b and "
+            "criterion 7, the attacker leads every layer's mean distance, so the strict "
+            "inequality cannot hold."
         )
     assert clause_a and clause_b and clause_c
 
@@ -299,7 +307,7 @@ def test_criterion_08_overhead():
             "equivalents beyond inference), so with desk-scale numpy kernels the "
             f"measured amortized ratio is {rep.inference_overhead_ratio:.2f}; the 2.0 "
             "bound presumes the compiled-framework regime of the hardware-specific "
-            "reference numbers. See the decisions ledger."
+            "reference numbers. See the decisions ledger (docs/decisions.md, entry 2)."
         )
     assert clause_a and clause_b
 

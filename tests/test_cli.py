@@ -53,8 +53,10 @@ class TestRun:
         assert main(["run", "--config", str(bad)]) == 1
         assert "config error" in capsys.readouterr().err
 
-    def test_missing_config_exit_code(self, tmp_path):
+    def test_missing_config_exit_code(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "nope.cfg" in err
 
     def test_runtime_error_exit_code(self, tmp_path, capsys):
         # plan larger than an IDX corpus: valid config, fails once the data is read
@@ -105,6 +107,15 @@ class TestAudit:
         assert code == 0
         printed = json.loads(capsys.readouterr().out)
         assert printed["per_node_mean"] == blob["per_node_mean"]
+
+    def test_missing_run_artifact_is_a_runtime_error(self, config_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        main(["run", "--config", str(config_file), "--out", str(out)])
+        (out / "model.bin").unlink()
+        capsys.readouterr()
+        assert main(["audit", "--run-dir", str(out), "--sample-id", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "runtime error" in err and "model.bin" in err
 
 
 class TestOverheadCommand:

@@ -4,16 +4,20 @@ import pytest
 from fedliab.audit import DistanceRecorder
 from fedliab.data import Dataset, synth_generate
 from fedliab.flsim import (
+    EVAL_BATCH,
     TrainConfig,
     aggregate,
     evaluate,
     local_train,
+    model_inputs,
+    predict_logits,
     run_training,
 )
 from fedliab.nn import (
     Dense,
     ReLU,
     build_network,
+    forward_batch,
     loss_and_grad,
     make_params,
     params_to_bytes,
@@ -150,8 +154,23 @@ class TestRunTraining:
         with pytest.raises(ValueError, match="node 1: empty"):
             run_training(net, params, [nodes[0], empty, nodes[2]], TrainConfig(rounds=1))
 
+    def test_non_finite_loss_names_round_node_and_step(self):
+        # the first step's weights are ~1e299, so the second step's logits overflow
+        net, params, nodes = tiny_setup(n_nodes=3)
+        cfg = TrainConfig(rounds=2, lr=1e300, batch_size=4, master_seed=2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match="round 0, node 0, step 1: loss is nan"):
+                run_training(net, params, nodes, cfg)
+
 
 class TestEvaluate:
+    def test_chunked_logits_equal_one_whole_pass(self):
+        ds = synth_generate(10, 25, seed=4, image_size=20)  # two full chunks and a partial one
+        assert 2 * EVAL_BATCH < len(ds) < 3 * EVAL_BATCH
+        net, params = build_network(reference_network(10, 20), (1, 20, 20), seed=4)
+        whole = forward_batch(net, params, model_inputs(net, ds.images))[-1]
+        assert np.array_equal(predict_logits(net, params, ds), whole)
+
     def test_constant_predictor_on_its_class(self):
         net, _ = build_network([Dense(4, 3)], (4,), seed=0)
         zeros = make_params([(np.zeros((3, 4)), np.zeros(3))])  # always argmax 0

@@ -1,13 +1,14 @@
 import json
+import tracemalloc
 from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fedliab import data, harness
+from fedliab import data, harness, lrp, nn
 from fedliab.audit import DistanceTensor, save_distance_tensor
-from fedliab.flsim import model_inputs
+from fedliab.flsim import EVAL_BATCH, accuracy, model_inputs, predict_logits
 from fedliab.harness import (
     ConfigError,
     ExperimentConfig,
@@ -25,6 +26,7 @@ from fedliab.harness import (
     rerun_from_manifest,
     run_and_export,
     run_scenario,
+    select_audit_sample,
 )
 from fedliab.lrp import LrpConfig, lrp_propagate
 from fedliab.seeding import derive_seed
@@ -233,6 +235,77 @@ class TestScenarios:
         for n in range(4):
             if n != cfg.attacker:
                 np.testing.assert_array_equal(bad[n].labels, clean[n].labels)
+
+
+class TestBoundedAuditPasses:
+    """Evaluation and audit selection pass the test set in EVAL_BATCH chunks."""
+
+    def test_peak_memory_does_not_grow_with_the_test_set(self):
+        cfg = ExperimentConfig()  # the desk profile's 20x20 reference network
+        net, params = build_model(cfg)
+        layers = net.num_param_layers
+        tensor = DistanceTensor(np.random.default_rng(0).uniform(0, 2, (cfg.rounds, cfg.nodes, layers)))
+        images = data.synth_generate(10, 200, seed=1, image_size=20).images
+        # label every sample with the class the untrained net predicts least,
+        # so nearly every sample is a misclassified candidate at both sizes
+        whole = predict_logits(net, params, data.Dataset(images, np.zeros(len(images), dtype=int), 10))
+        audited = int(np.argmin(np.bincount(np.argmax(whole, axis=1), minlength=10)))
+        peaks = {}
+        for n in (2000, 500):
+            test = data.Dataset(images[:n], np.full(n, audited), 10)
+            tracemalloc.start()
+            try:
+                logits = predict_logits(net, params, test)
+                accuracy(test, logits)
+                selection = select_audit_sample(net, params, test, logits, tensor, audited, LrpConfig())
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert selection.rule == "misclassified"
+        assert peaks[2000] <= 1.1 * peaks[500], peaks
+
+    def test_run_path_passes_at_most_eval_batch_samples(self, monkeypatch):
+        # every forward, relevance and training pass goes through forward_collect
+        sizes, relevance = [], []
+        collect, propagate = nn.forward_collect, harness.lrp_propagate_batch
+
+        def recording_collect(net, params, inputs, *args, **kwargs):
+            sizes.append(len(inputs))
+            return collect(net, params, inputs, *args, **kwargs)
+
+        def recording_propagate(net, params, inputs, *args, **kwargs):
+            relevance.append(len(inputs))
+            return propagate(net, params, inputs, *args, **kwargs)
+
+        monkeypatch.setattr(nn, "forward_collect", recording_collect)
+        monkeypatch.setattr(lrp, "forward_collect", recording_collect)
+        monkeypatch.setattr(harness, "lrp_propagate_batch", recording_propagate)
+        cfg = tiny_config(scenario="with_misbehaving", test_per_class=150)  # 900 test samples
+        result = run_scenario(cfg)
+        assert result.audit_phase.selection.rule == "misclassified"
+        assert max(sizes) <= EVAL_BATCH
+        assert sum(relevance) > EVAL_BATCH  # the candidates took more than one chunk
+
+    def test_selection_matches_a_whole_candidate_pass(self):
+        cfg = tiny_config(test_per_class=150)
+        _, test = load_experiment_data(cfg)
+        net, params = build_model(cfg)
+        tensor = DistanceTensor(np.random.default_rng(1).uniform(0, 2, (cfg.rounds, cfg.nodes, 4)))
+        logits = predict_logits(net, params, test)
+        selection = select_audit_sample(net, params, test, logits, tensor, cfg.attack_source, LrpConfig())
+        members = np.flatnonzero(test.labels == cfg.attack_source)
+        candidates = members[np.argmax(logits[members], axis=1) != cfg.attack_source]
+        assert len(candidates) > EVAL_BATCH
+        rel, _ = lrp.lrp_propagate_batch(net, params, model_inputs(net, test.images[candidates]), None, LrpConfig())
+        rows = lrp.reduce_to_layer_vector_batch(rel, net)
+        suspicion = []
+        for row in rows:
+            matrix = harness.compute_radist(tensor, row)
+            suspicion.append(matrix.mean(axis=0).max() / max(matrix.mean(), 1e-18))
+        i = int(np.argmax(suspicion))  # the first of equal maxima, as the selection keeps it
+        assert selection.sample_id == candidates[i]
+        assert np.array_equal(rows[i], selection.layer_weights)
+        assert np.array_equal(rel[0][i], selection.input_relevance)
 
 
 class TestExport:

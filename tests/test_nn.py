@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -528,3 +533,52 @@ class TestSerialization:
         assert w.flags.writeable
         assert not params.layers[0][0].flags.writeable
         assert not params.layers[0][1].flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# allocator regime: kernel temporaries come from a warm heap in every process
+# ---------------------------------------------------------------------------
+
+_FAULT_PROBE = """
+import resource, sys
+import numpy as np
+from fedliab import lrp, nn
+if sys.argv[1] == "free":
+    big = np.ones(30 << 17)  # 30 MB, freed at once: glibc's own threshold raise
+    del big
+net, params = nn.build_network(nn.reference_network(10, 28), (1, 28, 28), seed=1)
+rng = np.random.default_rng(0)
+x, y = rng.uniform(0, 1, (50, 1, 28, 28)), rng.integers(0, 10, 50)
+def step():
+    nn.forward_batch(net, params, x)
+    lrp.lrp_propagate_batch(net, params, x)
+    nn.loss_and_grad(net, params, (x, y))
+for _ in range(3):
+    step()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    step()
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+"""
+
+
+def _glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+@pytest.mark.skipif(not _glibc(), reason="the engine pins malloc thresholds only on glibc")
+@pytest.mark.parametrize("prior_free", ["fresh", "free"])
+def test_kernel_steps_do_not_fault_pages(prior_free):
+    # a fresh process on glibc's default thresholds takes ~16,000 minor faults
+    # per 28x28, B = 50 step: every temporary is a new mmap touched page by page
+    src = str(Path(nn.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+    out = subprocess.run(
+        [sys.executable, "-c", _FAULT_PROBE, prior_free], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert out.returncode == 0, out.stderr
+    assert float(out.stdout) < 100

@@ -126,6 +126,12 @@ def aggregate(local_params: Sequence[LayeredParams], weights: Sequence[float]) -
     return make_params(pairs)
 
 
+def _check_upload(params: LayeredParams, epoch: int, node_id: int) -> None:
+    for li, (w, b) in enumerate(params.layers):
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise FloatingPointError(f"round {epoch}, node {node_id}, layer {li}: upload is not finite")
+
+
 def run_training(
     net: Network,
     init_params: LayeredParams,
@@ -134,7 +140,8 @@ def run_training(
     observers: Sequence[RoundObserver] = (),
 ) -> TrainResult:
     """E rounds of local training, aggregation, and broadcast; node i
-    trains on datasets[i]."""
+    trains on datasets[i]. A non-finite upload stops training, naming the
+    round, node and layer."""
     if not datasets:
         raise ValueError("need at least one node")
     for i, ds in enumerate(datasets):
@@ -146,6 +153,8 @@ def run_training(
     messages = 0
     for epoch in range(cfg.rounds):
         locals_ = [local_train(net, i, ds, global_params, cfg, epoch) for i, ds in enumerate(datasets)]
+        for i, upload in enumerate(locals_):
+            _check_upload(upload, epoch, i)
         messages += len(datasets)  # uploads
         global_params = aggregate(locals_, weights)
         messages += len(datasets)  # broadcast of the new global

@@ -51,9 +51,10 @@ from .flsim import (
 )
 from .lrp import (
     LrpConfig,
+    layer_masses_batch,
+    layer_weights,
     lrp_propagate,
     lrp_propagate_batch,
-    reduce_to_layer_vector,
     reduce_to_layer_vector_batch,
     relevance_to_json,
     relevance_to_pgm,
@@ -343,6 +344,17 @@ class AuditSelection:
     layer_weights: np.ndarray
     matrix: np.ndarray
     input_relevance: np.ndarray
+    relevance_mass: float  # total absolute mass behind layer_weights
+
+
+def _require_relevance_mass(mass: float, where: str, sample_id: int) -> None:
+    """A decision with no relevance mass gets uniform layer weights, which
+    would silently turn RAdist into the cosine baseline."""
+    if not mass > 0:  # NaN fails too
+        raise RuntimeError(
+            f"{where}, sample {sample_id}: the audited decision carries no relevance mass "
+            f"(total {mass!r}), so its layer weights would be the uniform fallback"
+        )
 
 
 @dataclass(frozen=True)
@@ -405,12 +417,15 @@ def select_audit_sample(
     for start in range(0, len(candidates), EVAL_BATCH):
         chunk = candidates[start : start + EVAL_BATCH]
         rel, targets = lrp_propagate_batch(net, params, inputs[chunk], preds[chunk], lrp_cfg)
-        weight_rows = reduce_to_layer_vector_batch(rel, net)
-        for i, row in enumerate(weight_rows):
+        masses = layer_masses_batch(rel, net)
+        for i, row in enumerate(layer_weights(masses)):
             matrix = compute_radist(tensor, row)
             suspicion = float(matrix.mean(axis=0).max() / max(matrix.mean(), 1e-18))
             if best is None or suspicion > best[0]:
-                best = (suspicion, AuditSelection(int(chunk[i]), int(targets[i]), rule, row, matrix, rel[0][i]))
+                selection = AuditSelection(
+                    int(chunk[i]), int(targets[i]), rule, row, matrix, rel[0][i], float(masses[i].sum())
+                )
+                best = (suspicion, selection)
     return best[1]
 
 
@@ -441,6 +456,7 @@ def run_phase(
     selection = select_audit_sample(
         net, result.final_params, test, logits, tensor, cfg.attack_source, LrpConfig(epsilon=cfg.lrp_epsilon)
     )
+    _require_relevance_mass(selection.relevance_mass, f"phase {name}", selection.sample_id)
     report = detect(selection.matrix, AuditConfig(cfg.alpha), sample_id=selection.sample_id)
     scores = {"radist": selection.matrix, "cosine": baseline_cosine_score(tensor)}
     if reputation:
@@ -596,7 +612,9 @@ def audit_run_dir(run_dir, sample_id: int) -> dict:
     image, label = load_test_sample(cfg, sample_id)
     sample = model_inputs(net, image[None])[0]
     rmap = lrp_propagate(net, params, sample, None, LrpConfig(epsilon=cfg.lrp_epsilon))
-    weights = reduce_to_layer_vector(rmap, net)
+    masses = layer_masses_batch([b[None] for b in rmap.boundaries], net)
+    _require_relevance_mass(float(masses.sum()), f"run {run}", sample_id)
+    weights = layer_weights(masses)[0]
     matrix = compute_radist(tensor, weights)
     report = detect(matrix, AuditConfig(cfg.alpha), sample_id=sample_id)
     blob = auditmod.audit_report_dict(report)

@@ -3,9 +3,13 @@
 Starting from one output neuron's logit, relevance is redistributed backward
 boundary by boundary: a stabilized proportional rule for dense layers, a
 positive-contributions-only rule for convolutions, winner-take-all through
-max pooling, and activation-gated pass-through for ReLU. Every relevance
-tensor has the shape of the matching activation, and with the positive-only
-rule and no stabilizer the per-boundary totals are conserved exactly.
+max pooling, and plain pass-through for ReLU. The ReLU counts as part of the
+neuron below it: every rule multiplies by its input activation and a pool
+puts relevance only on its winner, so relevance is already ±0 wherever a
+ReLU output is 0, and a gate would only turn -0.0 into +0.0. Every
+relevance tensor has the shape of the matching activation, and with the
+positive-only rule and no stabilizer the per-boundary totals are conserved
+exactly.
 """
 
 from __future__ import annotations
@@ -75,24 +79,30 @@ class RelevanceMap:
         return self.boundaries[0]
 
 
-def _effective_epsilon(cfg: LrpConfig, z: np.ndarray):
-    """Stabilizer magnitude: explicit value, or 1e-9 * mean|z| per sample."""
+def _effective_epsilon(cfg: LrpConfig, z: np.ndarray, z_nonneg: bool):
+    """Stabilizer magnitude: explicit value, or 1e-9 * mean|z| per sample.
+    `z_nonneg` (no entry below zero) reads mean z, the same bits: only the
+    sign of a zero can differ, and the floor absorbs an all-zero mean."""
     if cfg.epsilon is not None:
         return cfg.epsilon
-    per_sample = 1e-9 * np.abs(z).reshape(z.shape[0], -1).mean(axis=1)
+    per_sample = 1e-9 * (z if z_nonneg else np.abs(z)).reshape(z.shape[0], -1).mean(axis=1)
     eps = np.maximum(per_sample, 1e-12)
     return eps.reshape((z.shape[0],) + (1,) * (z.ndim - 1))
 
 
-def _redistribution_factor(r_out, z, cfg, nonneg: bool) -> np.ndarray:
-    """r_out / (z + eps * sign(z)), sign(0) = +1; `nonneg` z needs no sign.
-    A positive stabilizer keeps the denominator away from zero; with an
-    explicit zero stabilizer, a zero denominator gives a zero factor."""
-    eps = _effective_epsilon(cfg, z)
+def _redistribution_factor(r_out, z, cfg, zplus_input=None) -> np.ndarray:
+    """r_out / (z + eps * sign(z)), sign(0) = +1; the zplus rule (given its
+    layer input) adds eps unsigned. A positive stabilizer keeps the
+    denominator away from zero; with an explicit zero stabilizer, a zero
+    denominator gives a zero factor."""
+    zplus = zplus_input is not None
+    # W+ >= 0 over a >= 0 gives z >= 0; one min over a, which is smaller than z
+    z_nonneg = zplus and cfg.epsilon is None and zplus_input.min() >= 0
+    eps = _effective_epsilon(cfg, z, z_nonneg)
     if np.all(eps == 0):
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(z != 0, r_out / z, 0.0)
-    if not nonneg:
+    if not zplus:
         eps = eps * (1.0 - 2.0 * (z < 0))
     return r_out / (z + eps)
 
@@ -101,9 +111,9 @@ def _dense_rule(w, a, r_out, z_out, cfg):
     # a (B, in), r_out/z_out (B, out)
     if cfg.rules["dense"] == "zplus":
         wp = np.maximum(w, 0.0)
-        s = _redistribution_factor(r_out, _dense(a, wp.T), cfg, nonneg=True)
+        s = _redistribution_factor(r_out, _dense(a, wp.T), cfg, zplus_input=a)
         return a * _dense(s, wp)
-    s = _redistribution_factor(r_out, z_out, cfg, nonneg=False)
+    s = _redistribution_factor(r_out, z_out, cfg)
     return a * _dense(s, w)
 
 
@@ -112,10 +122,10 @@ def _conv_rule(w, a, r_out, z_out, cols, cfg):
     if cfg.rules["conv2d"] == "zplus":
         w = np.maximum(w, 0.0)
         z = np.matmul(w.reshape(w.shape[0], -1), cols).reshape(r_out.shape)
-        s = _redistribution_factor(r_out, z, cfg, nonneg=True)
+        s = _redistribution_factor(r_out, z, cfg, zplus_input=a)
     else:
         # the epsilon rule's z is the layer's own output, already in the trace
-        s = _redistribution_factor(r_out, z_out, cfg, nonneg=False)
+        s = _redistribution_factor(r_out, z_out, cfg)
     return a * _conv_input_grad(s, w, a.shape[1:])
 
 
@@ -164,7 +174,7 @@ def lrp_propagate_batch(
             w, _ = params.layers[pi]
             rel[li] = _conv_rule(w, a_in, r_out, boundaries[li + 1], conv_cols[li], cfg)
         elif isinstance(spec, ReLU):
-            rel[li] = np.where(boundaries[li + 1] > 0, r_out, 0.0)
+            rel[li] = r_out  # already zero wherever the ReLU output is (module docstring)
         elif isinstance(spec, MaxPool):
             rel[li] = _pool_winner_scatter(a_in, r_out, pool_args[li])
         else:  # Flatten; Network rejects any other kind
@@ -196,17 +206,28 @@ def reduce_to_layer_vector(rmap: RelevanceMap, net: Network) -> np.ndarray:
     return _frozen(reduce_to_layer_vector_batch([r[None] for r in rmap.boundaries], net)[0])
 
 
-def reduce_to_layer_vector_batch(rel: list[np.ndarray], net: Network) -> np.ndarray:
-    """Per-sample layer weights (B, L): normalized absolute relevance mass at
-    each parameterized layer's input boundary; uniform if total mass is zero."""
-    mass = np.stack(
+def layer_masses_batch(rel: list[np.ndarray], net: Network) -> np.ndarray:
+    """Per-sample absolute relevance mass (B, L) at each parameterized
+    layer's input boundary."""
+    return np.stack(
         [np.abs(rel[li]).reshape(rel[li].shape[0], -1).sum(axis=1) for li in net.param_layer_indices],
         axis=1,
     )
+
+
+def layer_weights(mass: np.ndarray) -> np.ndarray:
+    """Rows of layer masses (B, L) scaled to sum to one; uniform where a
+    row's total mass is zero."""
     totals = mass.sum(axis=1, keepdims=True)
     uniform = np.full_like(mass, 1.0 / mass.shape[1])
     with np.errstate(invalid="ignore"):
         return np.where(totals > 0, mass / np.where(totals > 0, totals, 1.0), uniform)
+
+
+def reduce_to_layer_vector_batch(rel: list[np.ndarray], net: Network) -> np.ndarray:
+    """Per-sample layer weights (B, L): normalized absolute relevance mass at
+    each parameterized layer's input boundary; uniform if total mass is zero."""
+    return layer_weights(layer_masses_batch(rel, net))
 
 
 def conservation_report(rmap: RelevanceMap, logit_value: float) -> np.ndarray:

@@ -97,6 +97,24 @@ class TestRun:
         assert "train_per_class 80" in capsys.readouterr().err
 
 
+    def test_run_that_learned_nothing_fails_naming_phase_and_sample(self, tmp_path, capsys):
+        # lr = 1e6 kills every ReLU while the losses stay finite: the audited
+        # decision carries no relevance mass, and uniform layer weights would
+        # silently turn RAdist into the cosine baseline
+        dead = tmp_path / "dead.cfg"
+        dead.write_text(
+            CONFIG_TEXT.replace("classes = 6", "classes = 4")
+            .replace("nodes = 4", "nodes = 3")
+            .replace("rounds = 2", "rounds = 4")
+            .replace("attack_target = 5", "attack_target = 3")
+            + "lr = 1e6\n"
+        )
+        assert main(["run", "--config", str(dead), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "runtime error: phase with_misbehaving, sample " in err
+        assert "carries no relevance mass (total 0.0)" in err
+        assert not (tmp_path / "o" / "audit.json").exists()
+
 class TestAudit:
     def test_audit_finished_run(self, config_file, tmp_path, capsys):
         out = tmp_path / "out"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fedliab import flsim
 from fedliab.audit import DistanceRecorder
 from fedliab.data import Dataset, synth_generate
 from fedliab.flsim import (
@@ -162,6 +163,31 @@ class TestRunTraining:
             with pytest.raises(FloatingPointError, match="round 0, node 0, step 1: loss is nan"):
                 run_training(net, params, nodes, cfg)
 
+
+    def test_non_finite_upload_names_round_node_and_layer(self, monkeypatch):
+        net, params, nodes = tiny_setup(n_nodes=3)
+        cfg = TrainConfig(rounds=3, lr=0.05, batch_size=4, master_seed=2)
+        honest = flsim.local_train
+
+        def local_train(net, node_id, dataset, global_params, cfg, epoch):
+            upload = honest(net, node_id, dataset, global_params, cfg, epoch)
+            if (epoch, node_id) != (1, 2):
+                return upload
+            (w0, b0), (w1, b1) = upload.layers
+            b1 = b1.copy()
+            b1[0] = np.inf
+            return make_params([(w0, b0), (w1, b1)])
+
+        monkeypatch.setattr(flsim, "local_train", local_train)
+        seen = []
+
+        class Epochs:
+            def on_round(self, record):
+                seen.append(record.epoch)
+
+        with pytest.raises(FloatingPointError, match="round 1, node 2, layer 1: upload is not finite"):
+            run_training(net, params, nodes, cfg, observers=[Epochs()])
+        assert seen == [0]  # the faulty round reaches neither aggregation nor observers
 
 class TestEvaluate:
     def test_chunked_logits_equal_one_whole_pass(self):

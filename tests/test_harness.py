@@ -306,6 +306,7 @@ class TestBoundedAuditPasses:
         assert selection.sample_id == candidates[i]
         assert np.array_equal(rows[i], selection.layer_weights)
         assert np.array_equal(rel[0][i], selection.input_relevance)
+        assert selection.relevance_mass == lrp.layer_masses_batch(rel, net)[i].sum() > 0
 
 
 class TestExport:
@@ -387,6 +388,19 @@ class TestExport:
         with pytest.raises(ValueError, match=f"distances.bin: .*{want}"):
             audit_run_dir(run, result.audit_phase.audit.sample_id)
 
+
+    def test_audit_of_a_decision_without_relevance_mass_fails(self, exported, tmp_path):
+        # an all-zero model: every logit is 0, so no relevance reaches any layer
+        out, result = exported
+        run = tmp_path / "run"
+        run.mkdir()
+        for name in ("manifest.json", "distances.bin"):
+            (run / name).write_bytes((out / name).read_bytes())
+        zero = nn.make_params((np.zeros_like(w), np.zeros_like(b)) for w, b in result.audit_phase.final_params)
+        nn.save_params(zero, run / "model.bin")
+        sample_id = result.audit_phase.audit.sample_id
+        with pytest.raises(RuntimeError, match=f"run .*run, sample {sample_id}: .*no relevance mass \\(total 0.0\\)"):
+            audit_run_dir(run, sample_id)
 
 class TestLoadTestSample:
     def test_synthetic_matches_full_test_set(self):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from fedliab import lrp
 from fedliab.lrp import (
     LrpConfig,
     RuleError,
@@ -84,6 +85,36 @@ class TestPropagate:
             )
             for got, want in zip(rmap.boundaries, oracle):
                 np.testing.assert_allclose(got, want, atol=1e-10, rtol=0)
+
+
+def _abs_epsilon(cfg, z, z_nonneg):
+    """The adaptive stabilizer as defined, 1e-9 * mean|z| floored at 1e-12,
+    with |z| taken whatever the layer's input."""
+    per_sample = 1e-9 * np.abs(z).reshape(z.shape[0], -1).mean(axis=1)
+    return np.maximum(per_sample, 1e-12).reshape((z.shape[0],) + (1,) * (z.ndim - 1))
+
+
+class TestAdaptiveEpsilon:
+    """A zplus layer reads mean z for the adaptive stabilizer only where its
+    input has no negative entry; there mean z is mean|z| bit for bit, and
+    elsewhere |z| must stay."""
+
+    @pytest.mark.parametrize("pixels", ["signed", "non-negative"])
+    @pytest.mark.parametrize("dense_rule", ["epsilon", "zplus"])
+    @pytest.mark.parametrize("size", [20, 28])
+    def test_matches_abs_formulation(self, size, dense_rule, pixels, monkeypatch):
+        net, params = build_network(reference_network(6 if size == 28 else 10, size), (1, size, size), seed=size)
+        rng = stream(size, "adaptive-epsilon")
+        shape = (20,) + net.input_shape
+        x = rng.standard_normal(shape) if pixels == "signed" else rng.uniform(0.0, 1.0, shape)
+        assert (x.min() < 0) == (pixels == "signed")
+        cfg = LrpConfig(rules={"dense": dense_rule, "conv2d": "zplus"})
+        rel, targets = lrp_propagate_batch(net, params, x, None, cfg)
+        monkeypatch.setattr(lrp, "_effective_epsilon", _abs_epsilon)
+        want, want_targets = lrp_propagate_batch(net, params, x, None, cfg)
+        assert np.array_equal(targets, want_targets)
+        assert reduce_to_layer_vector_batch(rel, net).tobytes() == reduce_to_layer_vector_batch(want, net).tobytes()
+        assert rel[0].tobytes() == want[0].tobytes()
 
 
 class TestBatchInvariance:

@@ -1,6 +1,7 @@
 """Property tests for the config parser and the three binary readers: every
 round trip is exact, and any truncation or extension raises a named error.
-The conv patch kernels are checked as an adjoint pair."""
+The conv patch kernels are checked as an adjoint pair, and relevance is
+checked to vanish wherever a ReLU output does."""
 
 import json
 import math
@@ -28,7 +29,17 @@ from fedliab.harness import (
     parse_config_text,
 )
 from fedliab import nn
-from fedliab.nn import make_params, params_from_bytes, params_to_bytes
+from fedliab.lrp import LrpConfig, lrp_propagate_batch
+from fedliab.nn import (
+    ReLU,
+    build_network,
+    forward_batch,
+    make_params,
+    params_from_bytes,
+    params_to_bytes,
+    reference_network,
+)
+from netgen import random_mixed_net
 
 PATH = st.text(alphabet=string.ascii_letters + string.digits + "/._-", min_size=1, max_size=24)
 IDX_KEYS = ("idx_train_images", "idx_train_labels", "idx_test_images", "idx_test_labels")
@@ -186,3 +197,35 @@ def test_col2im_of_ones_counts_window_memberships(geometry):
             counts[i : i + kernel, j : j + kernel] += 1
     got = nn._col2im_add(np.ones(cols.shape), (c, h, w), kernel)
     assert np.array_equal(got, np.broadcast_to(counts, (b, c, h, w)))
+
+
+RULE_SETS = [{"dense": d, "conv2d": c} for d in ("epsilon", "zplus") for c in ("epsilon", "zplus")]
+RELEVANCE_NETS = [f"netgen{s}" for s in range(8)] + ["reference20", "reference28"]
+
+
+def _relevance_net(name):
+    if name.startswith("netgen"):
+        net, params, _ = random_mixed_net(int(name[6:]))
+        return net, params
+    size = int(name[9:])
+    return build_network(reference_network(6 if size == 28 else 10, size), (1, size, size), seed=size)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(RELEVANCE_NETS), st.integers(0, 2**32 - 1), st.booleans())
+def test_relevance_vanishes_wherever_a_relu_output_does(name, seed, signed):
+    """The ReLU passes relevance through ungated. That is exact only because
+    the relevance arriving from above is already zero wherever the ReLU
+    output is not positive; every rule and stabilizer must keep it so."""
+    net, params = _relevance_net(name)
+    rng = np.random.default_rng(seed)
+    shape = (3,) + net.input_shape
+    x = rng.standard_normal(shape) if signed else rng.uniform(0.0, 1.0, shape)
+    boundaries = forward_batch(net, params, x)
+    relus = [li + 1 for li, spec in enumerate(net.specs) if isinstance(spec, ReLU)]
+    for rules in RULE_SETS:
+        for epsilon in (None, 1e-6, 0.0):
+            rel, _ = lrp_propagate_batch(net, params, x, None, LrpConfig(epsilon, rules))
+            for b in relus:
+                dead = boundaries[b] <= 0
+                assert not rel[b][dead].any(), (b, rules, epsilon)

@@ -63,6 +63,7 @@ from .nn import (
     LayeredParams,
     Network,
     ShapeError,
+    _check_params,
     build_network,
     forward_batch,
     load_params,
@@ -595,7 +596,8 @@ def rerun_from_manifest(manifest_path, out_dir) -> ScenarioResult:
 
 def audit_run_dir(run_dir, sample_id: int) -> dict:
     """Re-audit a finished run for one test sample: recompute its relevance
-    against the stored model, contract the stored distance log, re-detect."""
+    against the stored model, contract the stored distance log, re-detect.
+    model.bin and distances.bin must fit the manifest's network."""
     run = Path(run_dir)
     for name in ("manifest.json", "model.bin", "distances.bin"):
         if not (run / name).is_file():
@@ -609,16 +611,20 @@ def audit_run_dir(run_dir, sample_id: int) -> dict:
         raise ValueError(
             f"{run / 'distances.bin'}: (rounds, nodes, layers) is {tensor.dims}, manifest.json says {logged}"
         )
+    try:
+        _check_params(net, params)
+    except ShapeError as exc:
+        raise ValueError(f"{run / 'model.bin'} does not fit manifest.json's network: {exc}") from None
     image, label = load_test_sample(cfg, sample_id)
     sample = model_inputs(net, image[None])[0]
-    rmap = lrp_propagate(net, params, sample, None, LrpConfig(epsilon=cfg.lrp_epsilon))
-    masses = layer_masses_batch([b[None] for b in rmap.boundaries], net)
+    rel, targets = lrp_propagate(net, params, sample, None, LrpConfig(epsilon=cfg.lrp_epsilon))
+    masses = layer_masses_batch(rel, net)
     _require_relevance_mass(float(masses.sum()), f"run {run}", sample_id)
     weights = layer_weights(masses)[0]
     matrix = compute_radist(tensor, weights)
     report = detect(matrix, AuditConfig(cfg.alpha), sample_id=sample_id)
     blob = auditmod.audit_report_dict(report)
-    blob["target_class"] = rmap.target_class
+    blob["target_class"] = int(targets[0])
     blob["true_class"] = label
     blob["layer_weights"] = [float(v) for v in weights]
     return blob

@@ -28,7 +28,6 @@ from .nn import (
     ReLU,
     _conv_input_grad,
     _dense,
-    _frozen,
     _pool_winner_scatter,
     forward_collect,
 )
@@ -62,21 +61,6 @@ class LrpConfig:
         for kind in _SUPPORTED:
             if kind not in self.rules:
                 raise RuleError(f"no rule assigned for layer kind {kind!r}")
-
-
-@dataclass(frozen=True)
-class RelevanceMap:
-    """Per-boundary relevance tensors, shaped exactly like the trace."""
-
-    boundaries: tuple[np.ndarray, ...]
-    target_class: int
-
-    def __len__(self) -> int:
-        return len(self.boundaries)
-
-    @property
-    def input_relevance(self) -> np.ndarray:
-        return self.boundaries[0]
 
 
 def _effective_epsilon(cfg: LrpConfig, z: np.ndarray, z_nonneg: bool):
@@ -188,22 +172,19 @@ def lrp_propagate(
     sample: np.ndarray,
     target_class: int | None = None,
     cfg: LrpConfig = LrpConfig(),
-) -> RelevanceMap:
-    """Relevance map for one sample, explaining the target class's logit.
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """lrp_propagate_batch for a batch of one sample, with the same return.
 
-    target_class None audits the predicted class (the highest-scoring output
-    neuron); passing a class explicitly supports reviewing any decision,
-    including the wrong winner of a misclassification.
+    It exists only because perfbench/tracing.py traces and reports it by
+    name; everything else calls lrp_propagate_batch.
     """
-    batch = np.asarray(sample, dtype=np.float64)[None]
-    targets = None if target_class is None else np.array([target_class])
-    rel, targets = lrp_propagate_batch(net, params, batch, targets, cfg)
-    return RelevanceMap(tuple(_frozen(r[0]) for r in rel), int(targets[0]))
+    targets = None if target_class is None else [target_class]
+    return lrp_propagate_batch(net, params, np.asarray(sample, dtype=np.float64)[None], targets, cfg)
 
 
-def reduce_to_layer_vector(rmap: RelevanceMap, net: Network) -> np.ndarray:
-    """reduce_to_layer_vector_batch for one sample's relevance map."""
-    return _frozen(reduce_to_layer_vector_batch([r[None] for r in rmap.boundaries], net)[0])
+def reduce_to_layer_vector(rel: list[np.ndarray], net: Network) -> np.ndarray:
+    """Row 0 of reduce_to_layer_vector_batch; kept only for perfbench/tracing.py."""
+    return reduce_to_layer_vector_batch(rel, net)[0]
 
 
 def layer_masses_batch(rel: list[np.ndarray], net: Network) -> np.ndarray:
@@ -230,12 +211,11 @@ def reduce_to_layer_vector_batch(rel: list[np.ndarray], net: Network) -> np.ndar
     return layer_weights(layer_masses_batch(rel, net))
 
 
-def conservation_report(rmap: RelevanceMap, logit_value: float) -> np.ndarray:
-    """Relative leakage |sum(R_b) - logit| / max(|logit|, 1e-12) per boundary."""
+def conservation_report(boundaries: list[np.ndarray], logit_value: float) -> np.ndarray:
+    """Relative leakage |sum(R_b) - logit| / max(|logit|, 1e-12) per boundary
+    of one decision (row i of each lrp_propagate_batch array)."""
     scale = max(abs(float(logit_value)), 1e-12)
-    return np.array(
-        [abs(float(b.sum()) - float(logit_value)) / scale for b in rmap.boundaries]
-    )
+    return np.array([abs(float(b.sum()) - float(logit_value)) / scale for b in boundaries])
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from fedliab.harness import (
     run_and_export,
     run_scenario,
 )
-from fedliab.lrp import LrpConfig, conservation_report, lrp_propagate
+from fedliab.lrp import LrpConfig, conservation_report, lrp_propagate_batch
 from fedliab.nn import forward_batch, loss_and_grad
 from lrp_oracle import oracle_propagate
 from netgen import random_mixed_net
@@ -88,8 +88,8 @@ def test_criterion_01_lrp_conservation():
         target = int(np.argmax(logits))
         if logits[target] <= 0:
             continue  # no relevance to explain; the start mass would be <= 0
-        rmap = lrp_propagate(net, params, x, target, ZPLUS)
-        worst = max(worst, float(conservation_report(rmap, logits[target]).max()))
+        rel, _ = lrp_propagate_batch(net, params, x[None], [target], ZPLUS)
+        worst = max(worst, float(conservation_report([r[0] for r in rel], logits[target]).max()))
         checked += 1
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-8 and elapsed < 60
@@ -103,10 +103,10 @@ def test_criterion_02_lrp_oracle_equivalence():
         net, params, x = random_mixed_net(seed)
         for cfg in (LrpConfig(epsilon=1e-6), ZPLUS):
             target = seed % net.class_count
-            rmap = lrp_propagate(net, params, x, target, cfg)
+            rel, _ = lrp_propagate_batch(net, params, x[None], [target], cfg)
             oracle = oracle_propagate(net, params, x, target, cfg.rules, cfg.epsilon)
-            for got, want in zip(rmap.boundaries, oracle):
-                worst = max(worst, float(np.max(np.abs(got - want))))
+            for got, want in zip(rel, oracle):
+                worst = max(worst, float(np.max(np.abs(got[0] - want))))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-10 and elapsed < 60
     assert report(2, ok, f"20 nets x 2 rule sets, worst |diff| {worst:.2e}, {elapsed:.1f}s")

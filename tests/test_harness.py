@@ -8,6 +8,7 @@ import pytest
 
 from fedliab import data, harness, lrp, nn
 from fedliab.audit import DistanceTensor, save_distance_tensor
+from fedliab.cli import main
 from fedliab.flsim import EVAL_BATCH, accuracy, model_inputs, predict_logits
 from fedliab.harness import (
     ConfigError,
@@ -28,10 +29,14 @@ from fedliab.harness import (
     run_scenario,
     select_audit_sample,
 )
-from fedliab.lrp import LrpConfig, lrp_propagate
+from fedliab.lrp import LrpConfig, lrp_propagate_batch
 from fedliab.seeding import derive_seed
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+# what audit.json and `fedliab audit` both report about the audited decision
+AUDIT_SHARED_KEYS = (
+    "alpha", "global_mean", "per_node_mean", "flagged", "sample_id", "target_class", "layer_weights"
+)
 
 TINY = dict(
     classes=6,
@@ -358,17 +363,17 @@ class TestExport:
         assert blob["per_node_mean"] == [float(v) for v in phase.audit.per_node_mean]
         assert blob["flagged"] == list(phase.audit.flagged)
         stored = json.loads((out / "audit.json").read_text())
-        assert blob["layer_weights"] == stored["layer_weights"]
-        assert blob["target_class"] == stored["target_class"]
+        for key in AUDIT_SHARED_KEYS:
+            assert blob[key] == stored[key], key
         # the exported heatmap is the single-sample relevance, bit for bit
         cfg = result.config
         net, _ = build_model(cfg)
         image, _ = load_test_sample(cfg, phase.audit.sample_id)
-        rmap = lrp_propagate(
-            net, phase.final_params, model_inputs(net, image[None])[0], None, LrpConfig(epsilon=cfg.lrp_epsilon)
+        rel, _ = lrp_propagate_batch(
+            net, phase.final_params, model_inputs(net, image[None]), None, LrpConfig(epsilon=cfg.lrp_epsilon)
         )
         exported = json.loads((out / "relevance.json").read_text())["values"]
-        assert exported == rmap.input_relevance.ravel().tolist()
+        assert exported == rel[0][0].ravel().tolist()
 
     def test_audit_bad_sample_id(self, exported):
         out, _ = exported
@@ -387,6 +392,21 @@ class TestExport:
         want = f"\\({cfg.rounds}, {cfg.nodes + 2}, 4\\).*\\({cfg.rounds}, {cfg.nodes}, 4\\)"
         with pytest.raises(ValueError, match=f"distances.bin: .*{want}"):
             audit_run_dir(run, result.audit_phase.audit.sample_id)
+
+    def test_audit_rejects_a_model_of_another_network(self, exported, tmp_path, capsys):
+        # a 14x14 model beside a 12x12 manifest: the first dense layer's weights differ
+        out, result = exported
+        run = tmp_path / "run"
+        run.mkdir()
+        for name in ("manifest.json", "distances.bin"):
+            (run / name).write_bytes((out / name).read_bytes())
+        _, other = build_model(tiny_config(image_size=14))
+        nn.save_params(other, run / "model.bin")
+        want = r"parameter 2: expected weights \(64, 16\) biases \(64,\), got \(64, 64\) / \(64,\)"
+        with pytest.raises(ValueError, match=f"run/model.bin does not fit manifest.json's network: {want}"):
+            audit_run_dir(run, result.audit_phase.audit.sample_id)
+        assert main(["audit", "--run-dir", str(run), "--sample-id", "0"]) == 2
+        assert "runtime error: " in capsys.readouterr().err
 
 
     def test_audit_of_a_decision_without_relevance_mass_fails(self, exported, tmp_path):

@@ -8,9 +8,7 @@ from fedliab.lrp import (
     LrpConfig,
     RuleError,
     conservation_report,
-    lrp_propagate,
     lrp_propagate_batch,
-    reduce_to_layer_vector,
     reduce_to_layer_vector_batch,
     relevance_to_json,
     relevance_to_pgm,
@@ -46,30 +44,30 @@ class TestPropagate:
         # w=(2,1), no bias, x=(1,1), logit 3; shares split 2:1
         net, _ = build_network([Dense(2, 1)], (2,), seed=0)
         params = make_params([(np.array([[2.0, 1.0]]), np.zeros(1))])
-        rmap = lrp_propagate(net, params, np.array([1.0, 1.0]), 0, LrpConfig(epsilon=0.0))
-        np.testing.assert_allclose(rmap.input_relevance, [2.0, 1.0], atol=1e-12)
-        np.testing.assert_allclose(rmap.boundaries[-1], [3.0], atol=1e-12)
+        rel, _ = lrp_propagate_batch(net, params, np.array([[1.0, 1.0]]), [0], LrpConfig(epsilon=0.0))
+        np.testing.assert_allclose(rel[0][0], [2.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(rel[-1][0], [3.0], atol=1e-12)
 
     def test_identity_network(self):
         net, _ = build_network([Dense(3, 3)], (3,), seed=0)
         params = make_params([(np.eye(3), np.zeros(3))])
         x = np.array([0.5, 2.0, 1.0])
-        rmap = lrp_propagate(net, params, x, 1, LrpConfig(epsilon=0.0))
-        np.testing.assert_allclose(rmap.input_relevance, [0.0, 2.0, 0.0], atol=1e-12)
+        rel, _ = lrp_propagate_batch(net, params, x[None], [1], LrpConfig(epsilon=0.0))
+        np.testing.assert_allclose(rel[0][0], [0.0, 2.0, 0.0], atol=1e-12)
 
     def test_shapes_match_trace(self):
         for seed in range(12):
             net, params, x = random_mixed_net(seed)
             boundaries = forward_batch(net, params, x[None])
-            rmap = lrp_propagate(net, params, x, 0)
-            assert len(rmap) == len(boundaries)
-            for r, a in zip(rmap.boundaries, boundaries):
-                assert r.shape == a.shape[1:]
+            rel, _ = lrp_propagate_batch(net, params, x[None], [0])
+            assert len(rel) == len(boundaries)
+            for r, a in zip(rel, boundaries):
+                assert r.shape == a.shape
 
     def test_target_class_out_of_range(self):
         net, params, x = random_dense_net(1)
         with pytest.raises(ValueError):
-            lrp_propagate(net, params, x, net.class_count)
+            lrp_propagate_batch(net, params, x[None], [net.class_count])
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_per_neuron_oracle(self, seed):
@@ -79,12 +77,12 @@ class TestPropagate:
             ZPLUS_EVERYWHERE,
             LrpConfig(epsilon=0.0),
         ):
-            rmap = lrp_propagate(net, params, x, seed % net.class_count, cfg)
+            rel, _ = lrp_propagate_batch(net, params, x[None], [seed % net.class_count], cfg)
             oracle = oracle_propagate(
                 net, params, x, seed % net.class_count, cfg.rules, cfg.epsilon
             )
-            for got, want in zip(rmap.boundaries, oracle):
-                np.testing.assert_allclose(got, want, atol=1e-10, rtol=0)
+            for got, want in zip(rel, oracle):
+                np.testing.assert_allclose(got[0], want, atol=1e-10, rtol=0)
 
 
 def _abs_epsilon(cfg, z, z_nonneg):
@@ -159,80 +157,68 @@ class TestConservation:
             t = int(np.argmax(logits))
             if logits[t] <= 0:
                 continue
-            rmap = lrp_propagate(net, params, x, t, ZPLUS_EVERYWHERE)
-            leakage = conservation_report(rmap, logits[t])
+            rel, _ = lrp_propagate_batch(net, params, x[None], [t], ZPLUS_EVERYWHERE)
+            leakage = conservation_report([r[0] for r in rel], logits[t])
             assert leakage.max() <= 1e-10
 
     def test_start_boundary_leakage_zero(self):
         net, params, x = random_dense_net(3)
         logits = forward_batch(net, params, x[None])[-1][0]
-        rmap = lrp_propagate(net, params, x, 0, LrpConfig(epsilon=0.0))
-        assert conservation_report(rmap, logits[0])[-1] == 0.0
+        rel, _ = lrp_propagate_batch(net, params, x[None], [0], LrpConfig(epsilon=0.0))
+        assert conservation_report([r[0] for r in rel], logits[0])[-1] == 0.0
 
     def test_epsilon_leakage_reported(self):
         # with a stabilizer, leakage exists and is finite; recorded, not bounded
         net, params, x = random_dense_net(4)
         logits = forward_batch(net, params, x[None])[-1][0]
         t = int(np.argmax(logits))
-        rmap = lrp_propagate(net, params, x, t, LrpConfig(epsilon=0.1))
-        leakage = conservation_report(rmap, logits[t])
+        rel, _ = lrp_propagate_batch(net, params, x[None], [t], LrpConfig(epsilon=0.1))
+        leakage = conservation_report([r[0] for r in rel], logits[t])
         assert np.all(np.isfinite(leakage))
 
 
 class TestReduce:
     def test_one_hot_mass(self):
         net, params, x = random_dense_net(6)
-        rmap = lrp_propagate(net, params, x, 0)
-        boundaries = list(rmap.boundaries)
+        rel, _ = lrp_propagate_batch(net, params, x[None], [0])
         for li in net.param_layer_indices:
-            boundaries[li] = np.zeros_like(boundaries[li])
+            rel[li] = np.zeros_like(rel[li])
         first = net.param_layer_indices[0]
-        boundaries[first] = np.ones_like(boundaries[first])
-        vec = reduce_to_layer_vector(
-            type(rmap)(tuple(boundaries), rmap.target_class), net
-        )
+        rel[first] = np.ones_like(rel[first])
+        vec = reduce_to_layer_vector_batch(rel, net)[0]
         expected = np.zeros(net.num_param_layers)
         expected[0] = 1.0
         np.testing.assert_allclose(vec, expected, atol=1e-15)
 
     def test_zero_mass_uniform(self):
         net, params, x = random_dense_net(6)
-        rmap = lrp_propagate(net, params, x, 0)
-        zeroed = type(rmap)(
-            tuple(np.zeros_like(b) for b in rmap.boundaries), rmap.target_class
-        )
-        vec = reduce_to_layer_vector(zeroed, net)
+        rel, _ = lrp_propagate_batch(net, params, x[None], [0])
+        vec = reduce_to_layer_vector_batch([np.zeros_like(r) for r in rel], net)[0]
         np.testing.assert_allclose(vec, 1.0 / net.num_param_layers, atol=1e-15)
 
     def test_equal_mass_uniform(self):
         net, params, x = random_conv_net(2)
-        rmap = lrp_propagate(net, params, x, 0)
-        boundaries = [np.zeros_like(b) for b in rmap.boundaries]
+        rel, _ = lrp_propagate_batch(net, params, x[None], [0])
+        rel = [np.zeros_like(r) for r in rel]
         for li in net.param_layer_indices:
-            flat = np.zeros_like(boundaries[li]).ravel()
-            flat[0] = 7.5
-            boundaries[li] = flat.reshape(boundaries[li].shape)
-        vec = reduce_to_layer_vector(
-            type(rmap)(tuple(boundaries), rmap.target_class), net
-        )
+            rel[li].flat[0] = 7.5
+        vec = reduce_to_layer_vector_batch(rel, net)[0]
         np.testing.assert_allclose(vec, 1.0 / net.num_param_layers, atol=1e-15)
 
     def test_scale_covariance(self):
         net, params, x = random_mixed_net(8)
-        rmap = lrp_propagate(net, params, x, 0)
-        scaled = type(rmap)(
-            tuple(3.7 * b for b in rmap.boundaries), rmap.target_class
-        )
+        rel, _ = lrp_propagate_batch(net, params, x[None], [0])
         np.testing.assert_allclose(
-            reduce_to_layer_vector(rmap, net),
-            reduce_to_layer_vector(scaled, net),
+            reduce_to_layer_vector_batch(rel, net)[0],
+            reduce_to_layer_vector_batch([3.7 * r for r in rel], net)[0],
             atol=1e-12,
         )
 
     def test_convex_weights(self):
         for seed in range(8):
             net, params, x = random_mixed_net(seed)
-            vec = reduce_to_layer_vector(lrp_propagate(net, params, x, 0), net)
+            rel, _ = lrp_propagate_batch(net, params, x[None], [0])
+            vec = reduce_to_layer_vector_batch(rel, net)[0]
             assert np.all(vec >= 0)
             assert vec.sum() == pytest.approx(1.0, abs=1e-12)
             assert vec.size == net.num_param_layers

@@ -25,7 +25,7 @@ from fedliab.nn import (
     sgd_step,
 )
 from fedliab import nn
-from fedliab.lrp import lrp_propagate
+from fedliab.lrp import lrp_propagate_batch
 from netgen import random_conv_net, random_dense_net, random_mixed_net
 
 
@@ -456,17 +456,17 @@ class TestPredict:
     def test_argmax(self):
         net, _ = build_network([Dense(2, 3)], (2,), seed=0)
         w = make_params([(np.array([[0.1, 0.0], [0.9, 0.0], [0.3, 0.0]]), np.zeros(3))])
-        assert lrp_propagate(net, w, np.array([1.0, 0.0])).target_class == 1
+        assert lrp_propagate_batch(net, w, np.array([[1.0, 0.0]]))[1][0] == 1
 
     def test_tie_breaks_low(self):
         net, _ = build_network([Dense(2, 2)], (2,), seed=0)
         w = make_params([(np.ones((2, 2)), np.zeros(2))])
-        assert lrp_propagate(net, w, np.array([0.5, 0.5])).target_class == 0
+        assert lrp_propagate_batch(net, w, np.array([[0.5, 0.5]]))[1][0] == 0
 
     def test_all_equal_logits(self):
         net, _ = build_network([Dense(2, 3)], (2,), seed=0)
         zeros = make_params([(np.zeros((3, 2)), np.zeros(3))])
-        assert lrp_propagate(net, zeros, np.array([1.0, 2.0])).target_class == 0
+        assert lrp_propagate_batch(net, zeros, np.array([[1.0, 2.0]]))[1][0] == 0
 
 
 class TestFlatten:

@@ -227,16 +227,6 @@ def load_distance_tensor(path) -> DistanceTensor:
         return distance_tensor_from_bytes(fh.read())
 
 
-def audit_report_dict(report: AuditReport) -> dict:
-    return {
-        "alpha": report.alpha,
-        "global_mean": report.global_mean,
-        "per_node_mean": [float(v) for v in report.per_node_mean],
-        "flagged": list(report.flagged),
-        "sample_id": report.sample_id,
-    }
-
-
 def write_scores_csv(traces: dict[str, np.ndarray], path) -> None:
     """CSV rows epoch,node,metric,value; one row per entry per metric."""
     with open(path, "w", newline="\n") as fh:

@@ -13,6 +13,7 @@ import json
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -118,6 +119,8 @@ class ExperimentConfig:
             raise ConfigError(f"dataset must be 'synthetic' or 'idx', got {self.dataset!r}")
         if self.nodes < 2:
             raise ConfigError(f"nodes must be at least 2, to compare each node with the others; got {self.nodes}")
+        if not -(2**63) <= self.seed < 2**63:  # seeding reduces seeds modulo 2**64
+            raise ConfigError(f"seed {self.seed} outside [-2**63, 2**63), where each seed has its own streams")
         if not 0 <= self.attacker < self.nodes:
             raise ConfigError(f"attacker id {self.attacker} outside 0..{self.nodes - 1}")
         for name in ("attack_source", "attack_target"):
@@ -231,11 +234,16 @@ def _unique_json_keys(pairs) -> dict:
 
 def load_config(path) -> ExperimentConfig:
     try:
-        raw = Path(path).read_text()
+        raw = Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
         raise ConfigError(f"no config file {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {path}: {exc}") from None
     if str(path).endswith(".json"):
-        return config_from_mapping(json.loads(raw, object_pairs_hook=_unique_json_keys))
+        mapping = json.loads(raw, object_pairs_hook=_unique_json_keys)
+        if not isinstance(mapping, dict):
+            raise ConfigError(f"config file {path}: expected a JSON object, got {type(mapping).__name__}")
+        return config_from_mapping(mapping)
     return parse_config_text(raw)
 
 
@@ -338,24 +346,47 @@ def build_model(cfg: ExperimentConfig) -> tuple[Network, LayeredParams]:
 
 
 @dataclass(frozen=True)
-class AuditSelection:
+class Decision:
+    """One explained decision: a test sample's audited class, the layer
+    weights and RAdist matrix of its relevance, and that relevance."""
+
     sample_id: int
     target_class: int
-    rule: str
     layer_weights: np.ndarray
     matrix: np.ndarray
     input_relevance: np.ndarray
     relevance_mass: float  # total absolute mass behind layer_weights
 
 
-def _require_relevance_mass(mass: float, where: str, sample_id: int) -> None:
-    """A decision with no relevance mass gets uniform layer weights, which
-    would silently turn RAdist into the cosine baseline."""
-    if not mass > 0:  # NaN fails too
+def decisions(net: Network, rel, targets, sample_ids, tensor: DistanceTensor) -> Iterator[Decision]:
+    """The decisions of one relevance batch (`lrp_propagate_batch`'s return
+    for the samples `sample_ids`), one at a time."""
+    masses = layer_masses_batch(rel, net)
+    for i, row in enumerate(layer_weights(masses)):
+        matrix = compute_radist(tensor, row)
+        yield Decision(int(sample_ids[i]), int(targets[i]), row, matrix, rel[0][i], float(masses[i].sum()))
+
+
+def verdict(decision: Decision, alpha: float, where: str) -> tuple[auditmod.AuditReport, dict]:
+    """Detect on one decision: the report, and the keys that audit.json and
+    `fedliab audit` share. A decision with no relevance mass gets uniform
+    layer weights, which would silently turn RAdist into the cosine
+    baseline, so it stops the audit (docs/decisions.md, entry 5)."""
+    if not decision.relevance_mass > 0:  # NaN fails too
         raise RuntimeError(
-            f"{where}, sample {sample_id}: the audited decision carries no relevance mass "
-            f"(total {mass!r}), so its layer weights would be the uniform fallback"
+            f"{where}, sample {decision.sample_id}: the audited decision carries no relevance mass "
+            f"(total {decision.relevance_mass!r}), so its layer weights would be the uniform fallback"
         )
+    report = detect(decision.matrix, AuditConfig(alpha), sample_id=decision.sample_id)
+    return report, {
+        "alpha": report.alpha,
+        "global_mean": report.global_mean,
+        "per_node_mean": [float(v) for v in report.per_node_mean],
+        "flagged": list(report.flagged),
+        "sample_id": report.sample_id,
+        "target_class": decision.target_class,
+        "layer_weights": [float(v) for v in decision.layer_weights],
+    }
 
 
 @dataclass(frozen=True)
@@ -366,7 +397,9 @@ class PhaseResult:
     tensor: DistanceTensor
     scores: dict
     audit: auditmod.AuditReport
-    selection: AuditSelection
+    audit_keys: dict  # verdict's keys shared with `fedliab audit`
+    decision: Decision
+    selection_rule: str
     message_count: int
     train_seconds: float
     final_params: LayeredParams
@@ -392,11 +425,12 @@ def select_audit_sample(
     tensor: DistanceTensor,
     audited_class: int,
     lrp_cfg: LrpConfig,
-) -> AuditSelection:
+) -> tuple[Decision, str]:
     """Pick the decision to investigate: the misclassified test sample of the
     audited class whose relevance-weighted distances single out a node most
     strongly; with no misclassification, the class's lowest-margin correct
     sample. The audited neuron is always the model's predicted class.
+    Returns the decision and the rule that chose it.
 
     `logits` are the model's test-set logits (`predict_logits`). Relevance
     runs over the candidates EVAL_BATCH at a time; it is batch-invariant, so
@@ -418,16 +452,11 @@ def select_audit_sample(
     for start in range(0, len(candidates), EVAL_BATCH):
         chunk = candidates[start : start + EVAL_BATCH]
         rel, targets = lrp_propagate_batch(net, params, inputs[chunk], preds[chunk], lrp_cfg)
-        masses = layer_masses_batch(rel, net)
-        for i, row in enumerate(layer_weights(masses)):
-            matrix = compute_radist(tensor, row)
-            suspicion = float(matrix.mean(axis=0).max() / max(matrix.mean(), 1e-18))
+        for decision in decisions(net, rel, targets, chunk, tensor):
+            suspicion = float(decision.matrix.mean(axis=0).max() / max(decision.matrix.mean(), 1e-18))
             if best is None or suspicion > best[0]:
-                selection = AuditSelection(
-                    int(chunk[i]), int(targets[i]), rule, row, matrix, rel[0][i], float(masses[i].sum())
-                )
-                best = (suspicion, selection)
-    return best[1]
+                best = (suspicion, decision)
+    return best[1], rule
 
 
 def run_phase(
@@ -454,12 +483,11 @@ def run_phase(
     tensor = recorder.tensor()
     logits = predict_logits(net, result.final_params, test)
     eval_result = accuracy(test, logits)
-    selection = select_audit_sample(
+    decision, rule = select_audit_sample(
         net, result.final_params, test, logits, tensor, cfg.attack_source, LrpConfig(epsilon=cfg.lrp_epsilon)
     )
-    _require_relevance_mass(selection.relevance_mass, f"phase {name}", selection.sample_id)
-    report = detect(selection.matrix, AuditConfig(cfg.alpha), sample_id=selection.sample_id)
-    scores = {"radist": selection.matrix, "cosine": baseline_cosine_score(tensor)}
+    report, audit_keys = verdict(decision, cfg.alpha, f"phase {name}")
+    scores = {"radist": decision.matrix, "cosine": baseline_cosine_score(tensor)}
     if reputation:
         scores["reputation"] = tracker.score()
     return PhaseResult(
@@ -469,7 +497,9 @@ def run_phase(
         tensor=tensor,
         scores=scores,
         audit=report,
-        selection=selection,
+        audit_keys=audit_keys,
+        decision=decision,
+        selection_rule=rule,
         message_count=result.message_count,
         train_seconds=elapsed,
         final_params=result.final_params,
@@ -508,8 +538,8 @@ def run_scenario(cfg: ExperimentConfig) -> ScenarioResult:
 # ---------------------------------------------------------------------------
 
 
-def export_metrics(result: ScenarioResult, out_dir) -> list[str]:
-    """Write the run's artifacts; returns the file names written.
+def export_metrics(result: ScenarioResult, out_dir) -> None:
+    """Write the run's artifacts.
 
     accuracy.csv, scores.csv, audit.json and manifest.json are byte-stable
     across reruns of the same manifest; overhead.json carries wall-clock
@@ -531,10 +561,7 @@ def export_metrics(result: ScenarioResult, out_dir) -> list[str]:
         out / "scores.csv",
     )
 
-    report_blob = auditmod.audit_report_dict(audit_phase.audit)
-    report_blob["selection_rule"] = audit_phase.selection.rule
-    report_blob["target_class"] = audit_phase.selection.target_class
-    report_blob["layer_weights"] = [float(v) for v in audit_phase.selection.layer_weights]
+    report_blob = {**audit_phase.audit_keys, "selection_rule": audit_phase.selection_rule}
     with open(out / "audit.json", "w", newline="\n") as fh:
         json.dump(report_blob, fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -559,23 +586,11 @@ def export_metrics(result: ScenarioResult, out_dir) -> list[str]:
     save_distance_tensor(audit_phase.tensor, out / "distances.bin")
     save_params(audit_phase.final_params, out / "model.bin")
 
-    relevance = audit_phase.selection.input_relevance
+    relevance = audit_phase.decision.input_relevance
     with open(out / "relevance.json", "w", newline="\n") as fh:
         json.dump(relevance_to_json(relevance), fh, sort_keys=True)
         fh.write("\n")
     relevance_to_pgm(relevance, out / "relevance.pgm")
-
-    return [
-        "accuracy.csv",
-        "scores.csv",
-        "audit.json",
-        "overhead.json",
-        "manifest.json",
-        "distances.bin",
-        "model.bin",
-        "relevance.json",
-        "relevance.pgm",
-    ]
 
 
 def run_and_export(cfg: ExperimentConfig, out_dir) -> ScenarioResult:
@@ -618,16 +633,9 @@ def audit_run_dir(run_dir, sample_id: int) -> dict:
     image, label = load_test_sample(cfg, sample_id)
     sample = model_inputs(net, image[None])[0]
     rel, targets = lrp_propagate(net, params, sample, None, LrpConfig(epsilon=cfg.lrp_epsilon))
-    masses = layer_masses_batch(rel, net)
-    _require_relevance_mass(float(masses.sum()), f"run {run}", sample_id)
-    weights = layer_weights(masses)[0]
-    matrix = compute_radist(tensor, weights)
-    report = detect(matrix, AuditConfig(cfg.alpha), sample_id=sample_id)
-    blob = auditmod.audit_report_dict(report)
-    blob["target_class"] = int(targets[0])
-    blob["true_class"] = label
-    blob["layer_weights"] = [float(v) for v in weights]
-    return blob
+    (decision,) = decisions(net, rel, targets, [sample_id], tensor)
+    _, blob = verdict(decision, cfg.alpha, f"run {run}")
+    return {**blob, "true_class": label}
 
 
 # ---------------------------------------------------------------------------

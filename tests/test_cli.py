@@ -58,6 +58,31 @@ class TestRun:
         err = capsys.readouterr().err
         assert "config error" in err and "nope.cfg" in err
 
+    def test_json_config_that_is_not_an_object_names_the_file(self, tmp_path, capsys):
+        bad = tmp_path / "list.json"
+        bad.write_text("[1, 2]")
+        assert main(["run", "--config", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert "config error: config file " in err and "list.json: expected a JSON object, got list" in err
+
+    def test_config_that_is_not_utf8_names_the_file(self, tmp_path, capsys):
+        bad = tmp_path / "latin.cfg"
+        bad.write_bytes(b"nodes = 4\xff\n")
+        assert main(["run", "--config", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert "config error: config file " in err and "latin.cfg: 'utf-8' codec can't decode byte 0xff" in err
+
+    def test_directory_as_config_names_it(self, tmp_path, capsys):
+        assert main(["run", "--config", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"config error: config file {tmp_path}: " in err and "Is a directory" in err
+
+    @pytest.mark.parametrize("seed", [-(2**63) - 1, 2**63])
+    def test_seed_outside_the_one_to_one_window_exits_1(self, config_file, tmp_path, capsys, seed):
+        assert main(["run", "--config", str(config_file), "--seed", str(seed), "--out", str(tmp_path / "o")]) == 1
+        assert f"config error: seed {seed} outside [-2**63, 2**63)" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_runtime_error_exit_code(self, tmp_path, capsys):
         # plan larger than an IDX corpus: valid config, fails once the data is read
         for split, per_class in (("train", 80), ("test", 25)):

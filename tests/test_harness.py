@@ -161,6 +161,14 @@ class TestConfig:
         idx = {k: "x" for k in ("idx_train_images", "idx_train_labels", "idx_test_images", "idx_test_labels")}
         assert config_from_mapping({"dataset": "idx", "train_per_class": 1, **idx}).train_per_class == 1
 
+    def test_seed_window_is_one_to_one(self):
+        # seeding reduces a seed modulo 2**64, so exactly this window keeps every seed's streams apart
+        for seed in (-(2**63), 2**63 - 1):
+            assert config_from_mapping({"seed": seed}).seed == seed
+        for seed in (-(2**63) - 1, 2**63):
+            with pytest.raises(ConfigError, match=f"seed {seed} outside"):
+                config_from_mapping({"seed": seed})
+
     def test_zero_lr_is_legal(self):
         assert parse_config_text("lr = 0\n").lr == 0.0
 
@@ -228,9 +236,30 @@ class TestScenarios:
 
     def test_audit_targets_predicted_class(self, retrain_result):
         phase = retrain_result.phases["with_misbehaving"]
-        assert phase.selection.rule in ("misclassified", "lowest_margin")
-        assert 0 <= phase.selection.target_class < 6
-        assert np.isclose(phase.selection.layer_weights.sum(), 1.0)
+        assert phase.selection_rule in ("misclassified", "lowest_margin")
+        assert 0 <= phase.decision.target_class < 6
+        assert np.isclose(phase.decision.layer_weights.sum(), 1.0)
+
+    def test_lowest_margin_when_the_class_has_no_misclassified_sample(self):
+        cfg = tiny_config()
+        _, test = load_experiment_data(cfg)
+        net, params = build_model(cfg)
+        tensor = DistanceTensor(np.random.default_rng(2).uniform(0, 2, (cfg.rounds, cfg.nodes, 4)))
+        logits = predict_logits(net, params, test)
+        # label every sample with its predicted class: no sample is misclassified
+        test = data.Dataset(test.images, np.argmax(logits, axis=1), test.class_count)
+        audited = int(test.labels[0])
+        decision, rule = select_audit_sample(net, params, test, logits, tensor, audited, LrpConfig())
+        assert rule == "lowest_margin"
+        members = np.flatnonzero(test.labels == audited)
+        assert members.size > 1
+        others = [c for c in range(test.class_count) if c != audited]
+        margins = [logits[m, audited] - logits[m, others].max() for m in members]
+        assert decision.sample_id == members[int(np.argmin(margins))]
+        rel, targets = lrp.lrp_propagate_batch(net, params, model_inputs(net, test.images[[decision.sample_id]]))
+        (alone,) = harness.decisions(net, rel, targets, [decision.sample_id], tensor)
+        assert alone.layer_weights.tobytes() == decision.layer_weights.tobytes()
+        assert alone.matrix.tobytes() == decision.matrix.tobytes()
 
     def test_corruption_applied_only_to_attacker(self):
         cfg = tiny_config()
@@ -262,11 +291,11 @@ class TestBoundedAuditPasses:
             try:
                 logits = predict_logits(net, params, test)
                 accuracy(test, logits)
-                selection = select_audit_sample(net, params, test, logits, tensor, audited, LrpConfig())
+                _, rule = select_audit_sample(net, params, test, logits, tensor, audited, LrpConfig())
                 peaks[n] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert selection.rule == "misclassified"
+            assert rule == "misclassified"
         assert peaks[2000] <= 1.1 * peaks[500], peaks
 
     def test_run_path_passes_at_most_eval_batch_samples(self, monkeypatch):
@@ -287,7 +316,7 @@ class TestBoundedAuditPasses:
         monkeypatch.setattr(harness, "lrp_propagate_batch", recording_propagate)
         cfg = tiny_config(scenario="with_misbehaving", test_per_class=150)  # 900 test samples
         result = run_scenario(cfg)
-        assert result.audit_phase.selection.rule == "misclassified"
+        assert result.audit_phase.selection_rule == "misclassified"
         assert max(sizes) <= EVAL_BATCH
         assert sum(relevance) > EVAL_BATCH  # the candidates took more than one chunk
 
@@ -297,7 +326,7 @@ class TestBoundedAuditPasses:
         net, params = build_model(cfg)
         tensor = DistanceTensor(np.random.default_rng(1).uniform(0, 2, (cfg.rounds, cfg.nodes, 4)))
         logits = predict_logits(net, params, test)
-        selection = select_audit_sample(net, params, test, logits, tensor, cfg.attack_source, LrpConfig())
+        decision, _ = select_audit_sample(net, params, test, logits, tensor, cfg.attack_source, LrpConfig())
         members = np.flatnonzero(test.labels == cfg.attack_source)
         candidates = members[np.argmax(logits[members], axis=1) != cfg.attack_source]
         assert len(candidates) > EVAL_BATCH
@@ -308,10 +337,10 @@ class TestBoundedAuditPasses:
             matrix = harness.compute_radist(tensor, row)
             suspicion.append(matrix.mean(axis=0).max() / max(matrix.mean(), 1e-18))
         i = int(np.argmax(suspicion))  # the first of equal maxima, as the selection keeps it
-        assert selection.sample_id == candidates[i]
-        assert np.array_equal(rows[i], selection.layer_weights)
-        assert np.array_equal(rel[0][i], selection.input_relevance)
-        assert selection.relevance_mass == lrp.layer_masses_batch(rel, net)[i].sum() > 0
+        assert decision.sample_id == candidates[i]
+        assert np.array_equal(rows[i], decision.layer_weights)
+        assert np.array_equal(rel[0][i], decision.input_relevance)
+        assert decision.relevance_mass == lrp.layer_masses_batch(rel, net)[i].sum() > 0
 
 
 class TestExport:
@@ -341,7 +370,7 @@ class TestExport:
         phase = result.phases["with_misbehaving"]
         assert blob["flagged"] == list(phase.audit.flagged)
         assert blob["sample_id"] == phase.audit.sample_id
-        assert blob["selection_rule"] == phase.selection.rule
+        assert blob["selection_rule"] == phase.selection_rule
 
     def test_accuracy_rows(self, exported):
         out, result = exported
@@ -365,6 +394,8 @@ class TestExport:
         stored = json.loads((out / "audit.json").read_text())
         for key in AUDIT_SHARED_KEYS:
             assert blob[key] == stored[key], key
+        # a key that only one face reports fails here, apart from each face's own addition
+        assert set(stored) - {"selection_rule"} == set(blob) - {"true_class"} == set(AUDIT_SHARED_KEYS)
         # the exported heatmap is the single-sample relevance, bit for bit
         cfg = result.config
         net, _ = build_model(cfg)

@@ -71,7 +71,7 @@ def experiment_configs(draw):
         local_passes=draw(st.integers(1, 10)),
         batch_size=draw(st.integers(1, 10**4)),
         lr=draw(st.floats(0, 10)),
-        seed=draw(st.integers(-(2**63), 2**63)),
+        seed=draw(st.integers(-(2**63), 2**63 - 1)),
         attacker=draw(st.integers(0, nodes - 1)),
         attack_source=source,
         attack_target=target + (target >= source),
